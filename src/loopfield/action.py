@@ -138,23 +138,6 @@ def wilson_density(q: np.ndarray, params: ActionParams, z: float | None = None) 
     return math.exp(-action_exponent_scale(params) * retr) / z
 
 
-def partition_function_mc(params: ActionParams, rng, n_samples: int = 200_000):
-    """Haar Monte-Carlo fallback for groups without a torus reduction.
-
-    Returns (estimate, standard error).  Used for the families whose
-    character ladder is not implemented; the quadrature path is preferred
-    whenever available.
-    """
-    from loopfield.groups import haar_sample
-    scale = action_exponent_scale(params)
-    eye = np.eye(params.spec.n)
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        q = haar_sample(params.spec, rng)
-        vals[i] = math.exp(-scale * float(np.trace(eye - q).real))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
-
-
 # ---------------------------------------------------------------------------
 # irreducible characters
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 
@@ -25,10 +24,6 @@ def main(argv=None) -> int:
     sub.add_parser("selftest", help="run the exact-backend suite only")
 
     args = parser.parse_args(argv)
-    threads = os.environ.get("LOOPFIELD_THREADS")
-    if threads is not None:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
-
     from loopfield import harness
     if args.command == "run":
         return harness.run_experiment(args.config, out_dir=args.out_dir)

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
 from loopfield.groups import GroupSpec
 from loopfield.action import (ActionParams, char_coefficient, standard_label,
-                              heat_kernel_eval, heat_kernel_theta_derivative_u1,
-                              integrate_class_function, unnormalized_weight,
-                              partition_function)
+                              heat_kernel_eval, heat_kernel_theta_derivative_u1)
 from loopfield.loops import (Loop, LoopString, as_string, bond_start,
                              bond_end, CrossingAnnotation, make_loop,
                              _canonical_rotation)
@@ -431,13 +429,34 @@ class CrossingGeometry:
         return out
 
 
-def _loop_with_spans(word, spans):
-    """Canonicalize a factory word, remapping span index lists."""
-    canon, shift = _canonical_rotation(list(word))
-    n = len(word)
-    loop = Loop(canon)
-    out = {k: tuple(sorted(((i - shift) % n) for i in v)) for k, v in spans.items()}
-    return loop, out
+def _annotated_loops(*components):
+    """Canonical loops, one per list of (bonds, span) pieces, and the
+    CrossingAnnotation of the pieces whose span names one of its fields
+    (span None marks bonds outside the annotation)."""
+    spans = {f.name: [] for f in fields(CrossingAnnotation)}
+    loops = []
+    for comp, pieces in enumerate(components):
+        word = [b for bonds, _ in pieces for b in bonds]
+        canon, shift = _canonical_rotation(word)
+        loops.append(Loop(canon))
+        start = 0
+        for bonds, span in pieces:
+            if span is not None:
+                spans[span].extend((comp, (i - shift) % len(word))
+                                   for i in range(start, start + len(bonds)))
+            start += len(bonds)
+    return loops, CrossingAnnotation(**{k: tuple(sorted(v)) for k, v in spans.items()})
+
+
+def _crossing_loop(e_first, lobe_a, e_second, lobe_b):
+    """The one-loop crossing word e_first, lobe_a, e_second, lobe_b: the
+    first and last two bonds of lobe_a are e1 and e4, those of lobe_b are
+    e2 and e3."""
+    (loop,), ann = _annotated_loops([
+        (e_first, "e_first"), (lobe_a[:2], "e1"), (lobe_a[2:-2], None),
+        (lobe_a[-2:], "e4"), (e_second, "e_second"), (lobe_b[:2], "e2"),
+        (lobe_b[2:-2], None), (lobe_b[-2:], "e3")])
+    return loop, ann
 
 
 def _path(start, moves):
@@ -491,34 +510,12 @@ def make_figure_eight(t2: float, t4: float, epsilon: float) -> CrossingGeometry:
     c2, h2, w2 = _lobe_dims(t2, epsilon)
     c4, h4, w4 = _lobe_dims(t4, epsilon)
 
-    word = []
-    spans = {"e_first": [], "e_second": [], "e1": [], "e2": [], "e3": [], "e4": []}
-
-    def emit(bonds, key=None, take=None, tail=False):
-        start = len(word)
-        word.extend(bonds)
-        if key is not None:
-            idx = list(range(start, len(word)))
-            if take is not None:
-                idx = idx[-take:] if tail else idx[:take]
-            spans[key].extend(idx)
-
     e_eps, _ = _path((0, -1), "UU")
-    emit(e_eps, "e_first")
     east, endp = _path((0, 1), "U" * (h4 - 2) + "R" * w4 + "D" * h4 + "L" * w4)
     assert endp == (0, -1)
-    emit(east[:2], "e1")
-    word.extend(east[2:-2])
-    emit(east[-2:], "e4")
-    emit(e_eps, "e_second")
     west, endp = _path((0, 1), "L" * w2 + "D" * h2 + "R" * w2 + "U" * (h2 - 2))
     assert endp == (0, -1)
-    emit(west[:2], "e2")
-    word.extend(west[2:-2])
-    emit(west[-2:], "e3")
-
-    loop, spans = _loop_with_spans(word, spans)
-    ann = CrossingAnnotation(**{k: tuple((0, i) for i in v) for k, v in spans.items()})
+    loop, ann = _crossing_loop(e_eps, east, e_eps, west)
     return CrossingGeometry(
         kind="figure-eight",
         epsilon=epsilon,
@@ -542,30 +539,12 @@ def make_figure_eight_reversed(t2: float, t4: float, epsilon: float) -> Crossing
     c2, h2, w2 = _lobe_dims(t2, epsilon)
     c4, h4, w4 = _lobe_dims(t4, epsilon)
 
-    word = []
-    spans = {"e_first": [], "e_second": [], "e1": [], "e2": [], "e3": [], "e4": []}
-
-    def emit(bonds, key=None):
-        start = len(word)
-        word.extend(bonds)
-        if key is not None:
-            spans[key].extend(range(start, len(word)))
-
-    emit(_path((0, -1), "UU")[0], "e_first")
     north, endp = _path((0, 1), "U" * h4 + "R" * w4 + "D" * h4 + "L" * w4)
     assert endp == (0, 1)
-    emit(north[:2], "e1")
-    word.extend(north[2:-2])
-    emit(north[-2:], "e4")
-    emit(_path((0, 1), "DD")[0], "e_second")
     south, endp = _path((0, -1), "L" * w2 + "D" * h2 + "R" * w2 + "U" * h2)
     assert endp == (0, -1)
-    emit(south[:2], "e2")
-    word.extend(south[2:-2])
-    emit(south[-2:], "e3")
-
-    loop, spans = _loop_with_spans(word, spans)
-    ann = CrossingAnnotation(**{k: tuple((0, i) for i in v) for k, v in spans.items()})
+    loop, ann = _crossing_loop(_path((0, -1), "UU")[0], north,
+                               _path((0, 1), "DD")[0], south)
     return CrossingGeometry(
         kind="figure-eight-reversed",
         epsilon=epsilon,
@@ -591,23 +570,9 @@ def make_coil(t4: float, epsilon: float, margin: float = 0.5) -> CrossingGeometr
     top_y = h4 - 1 + g
     bot_y = -1 - g
 
-    word = []
-    spans = {"e_first": [], "e_second": [], "e1": [], "e2": [], "e3": [], "e4": []}
-
-    def emit(bonds, key=None):
-        start = len(word)
-        word.extend(bonds)
-        if key is not None:
-            spans[key].extend(range(start, len(word)))
-
     e_eps, _ = _path((0, -1), "UU")
-    emit(e_eps, "e_first")
     east, endp = _path((0, 1), "U" * (h4 - 2) + "R" * w4 + "D" * h4 + "L" * w4)
     assert endp == (0, -1)
-    emit(east[:2], "e1")
-    word.extend(east[2:-2])
-    emit(east[-2:], "e4")
-    emit(e_eps, "e_second")
     wrap, endp = _path(
         (0, 1),
         "L"
@@ -619,12 +584,7 @@ def make_coil(t4: float, epsilon: float, margin: float = 0.5) -> CrossingGeometr
         + "R",
     )
     assert endp == (0, -1), endp
-    emit(wrap[:2], "e2")
-    word.extend(wrap[2:-2])
-    emit(wrap[-2:], "e3")
-
-    loop, spans = _loop_with_spans(word, spans)
-    ann = CrossingAnnotation(**{k: tuple((0, i) for i in v) for k, v in spans.items()})
+    loop, ann = _crossing_loop(e_eps, east, e_eps, wrap)
     annulus = (east_x + 1) * (top_y - bot_y) - c4 - 2
     return CrossingGeometry(
         kind="coil",
@@ -657,23 +617,9 @@ def make_limacon(t4: float, t2: float, epsilon: float,
     top_y = max(h4 - 1, h2) + g
     bot_y = min(-1, 1 - h2) - g
 
-    word = []
-    spans = {"e_first": [], "e_second": [], "e1": [], "e2": [], "e3": [], "e4": []}
-
-    def emit(bonds, key=None):
-        start = len(word)
-        word.extend(bonds)
-        if key is not None:
-            spans[key].extend(range(start, len(word)))
-
     e_eps, _ = _path((0, -1), "UU")
-    emit(e_eps, "e_first")
     east, endp = _path((0, 1), "U" * (h4 - 2) + "R" * w4 + "D" * h4 + "L" * w4)
     assert endp == (0, -1)
-    emit(east[:2], "e1")
-    word.extend(east[2:-2])
-    emit(east[-2:], "e4")
-    emit(e_eps, "e_second")
     # lens top to J, excursion frame, back through J, lens west/bottom/east
     moves = (
         "L" * w2                                 # lens top to J = (-w2, 1)
@@ -691,12 +637,7 @@ def make_limacon(t4: float, t2: float, epsilon: float,
     )
     west, endp = _path((0, 1), moves)
     assert endp == (0, -1), endp
-    emit(west[:2], "e2")
-    word.extend(west[2:-2])
-    emit(west[-2:], "e3")
-
-    loop, spans = _loop_with_spans(word, spans)
-    ann = CrossingAnnotation(**{k: tuple((0, i) for i in v) for k, v in spans.items()})
+    loop, ann = _crossing_loop(e_eps, east, e_eps, west)
     frame_area = (gx + east_x) * (top_y - bot_y) - (top_y - 2) * 1
     s_area = frame_area - c4 - c2 - 2
     return CrossingGeometry(
@@ -725,57 +666,22 @@ def make_crossing_squares(side: float, overlap: float, epsilon: float) -> Crossi
     s = max(k + 3, int(round(side / epsilon)))     # full square side
     lo = k - s
 
-    spans = {"e_first": [], "e_second": [], "e1": [], "e2": [], "e3": [], "e4": []}
-
-    word1 = []
-
-    def emit1(bonds, key=None):
-        start = len(word1)
-        word1.extend(bonds)
-        if key is not None:
-            spans[key].extend((0, i) for i in range(start, len(word1)))
-
-    pre, _ = _path((0, 0), "R" * (k - 1))
-    word1.extend(pre)
-    jog, _ = _path((k - 1, 0), "DR")   # traversed bonds of e3^-1
-    emit1(jog, "e3")
-    emit1(_path((k, -1), "UU")[0], "e_first")
-    emit1(_path((k, 1), "RD")[0], "e1")  # bump back to the bottom row
     rest, endp = _path((k + 1, 0), "R" * (s - k - 1) + "U" * s + "L" * s + "D" * s)
     assert endp == (0, 0)
-    word1.extend(rest)
-
-    word2 = []
-
-    def emit2(bonds, key=None):
-        start = len(word2)
-        word2.extend(bonds)
-        if key is not None:
-            spans[key].extend((1, i) for i in range(start, len(word2)))
-
-    pre2, _ = _path((lo, lo), "R" * s + "U" * (-3 - lo))
-    word2.extend(pre2)
-    emit2(_path((k, -3), "UU")[0], "e4")
-    emit2(_path((k, -1), "UU")[0], "e_second")
-    emit2(_path((k, 1), "UU")[0], "e2")
     rest2, endp = _path((k, 3), "U" * (k - 3) + "L" * s + "D" * s)
     assert endp == (lo, lo), endp
-    word2.extend(rest2)
-
-    canon1, shift1 = _canonical_rotation(word1)
-    canon2, shift2 = _canonical_rotation(word2)
-    loop1, loop2 = Loop(canon1), Loop(canon2)
-    remap = {}
-    for key, sites in spans.items():
-        out = []
-        for comp, i in sites:
-            if comp == 0:
-                out.append((0, (i - shift1) % len(word1)))
-            else:
-                out.append((1, (i - shift2) % len(word2)))
-        remap[key] = tuple(sorted(out))
-    string = LoopString((loop1, loop2))
-    ann = CrossingAnnotation(**remap)
+    loops, ann = _annotated_loops(
+        [(_path((0, 0), "R" * (k - 1))[0], None),
+         (_path((k - 1, 0), "DR")[0], "e3"),    # traversed bonds of e3^-1
+         (_path((k, -1), "UU")[0], "e_first"),
+         (_path((k, 1), "RD")[0], "e1"),        # bump back to the bottom row
+         (rest, None)],
+        [(_path((lo, lo), "R" * s + "U" * (-3 - lo))[0], None),
+         (_path((k, -3), "UU")[0], "e4"),
+         (_path((k, -1), "UU")[0], "e_second"),
+         (_path((k, 1), "UU")[0], "e2"),
+         (rest2, None)])
+    string = LoopString(tuple(loops))
     area = float(s * s) * epsilon**2
     olap = float(k * k) * epsilon**2
     return CrossingGeometry(

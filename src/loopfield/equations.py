@@ -29,13 +29,13 @@ from loopfield.groups import GroupSpec, casimir_standard
 from loopfield.action import (ActionParams, char_coefficient, standard_label,
                               integrate_class_function, unnormalized_weight,
                               partition_function)
-from loopfield.loops import (Loop, LoopString, as_string, bond_inverse,
+from loopfield.loops import (LoopString, as_string, bond_inverse,
                              string_deformation_sets, string_split, string_merge,
                              string_twist, expansion_sets, compatible_triples)
 from loopfield.driver import (U1Backend, area_derivative,
                               correction_term_im, continuum_product,
-                              CrossingGeometry, make_figure_eight, make_coil,
-                              make_limacon, make_crossing_squares)
+                              CrossingGeometry, make_figure_eight,
+                              make_crossing_squares, make_lattice_approximation)
 from loopfield.sampler import (MCSchedule, run_chain, make_estimate, Estimate)
 
 
@@ -66,7 +66,6 @@ class EquationSpec:
             "twist": (2.0 - beta) / (beta * n),
             "expansion": gamma / (2.0 * self.epsilon**2),
             "merger": 1.0 / n**2,
-            "gamma_unit": gamma / n**2,
         }
 
 
@@ -96,10 +95,9 @@ def assemble(spec: EquationSpec):
     e = loop.word[loc]
     einv = bond_inverse(e)
     c = spec.coefficients
-    ov = dict(spec.overrides)
 
     def coef(tag, base):
-        return base * ov.get(tag, 1.0)
+        return base * spec.overrides.get(tag, 1.0)
 
     terms = []
     d_minus, d_plus = string_deformation_sets(s, comp, e, loc)
@@ -145,10 +143,10 @@ def assemble(spec: EquationSpec):
         e_plus, e_minus = expansion_sets(loop, e, loc)
         for p in e_plus:
             terms.append(Term("expand-pos", coef("expand-pos", -c["expansion"]),
-                              _splice_expansion(s, comp, p)))
+                              s.replace(comp, p)))
         for p in e_minus:
             terms.append(Term("expand-neg", coef("expand-neg", c["expansion"]),
-                              _splice_expansion(s, comp, p)))
+                              s.replace(comp, p)))
 
     beta, gamma, n = spec.group.beta_g, spec.group.gamma_g, spec.group.n
     const = 1.0 - (2.0 - beta) / (beta * n) - k_coincidence * gamma / n**2
@@ -156,11 +154,6 @@ def assemble(spec: EquationSpec):
     meta = {"bond": e, "site": spec.site, "k_coincidence": k_coincidence,
             "const": const}
     return terms, meta
-
-
-def _splice_expansion(s: LoopString, comp: int, pair: LoopString) -> LoopString:
-    """Expansion replaces component comp by the pair (l, plaquette)."""
-    return s.replace(comp, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -182,29 +175,63 @@ def evaluate_exact_u1(terms, meta, backend: U1Backend) -> EquationReport:
 def evaluate_mc(terms, meta, params: ActionParams, schedule: MCSchedule,
                 margin: int = 4) -> EquationReport:
     """Shared-randomness Monte-Carlo evaluation of a term list."""
-    subjects = []
-    index = {}
-    for t in terms:
-        key = _subject_key(t.subject)
-        if key not in index:
-            index[key] = len(subjects)
-            subjects.append(t.subject)
-    samples, run_meta = run_chain(params, subjects, schedule, margin=margin)
-    values = []
-    resid_series = np.zeros(samples.shape[0::2], dtype=float)  # (n_meas, n_chains)
-    for t in terms:
-        w = samples[:, index[_subject_key(t.subject)], :]
-        values.append(make_estimate(w))
-        resid_series = resid_series + t.coefficient * w.real
-    resid = make_estimate(resid_series)
-    return EquationReport(list(terms), values, resid.mean, resid.sigma,
-                          {"backend": "mc", **meta, "epsilon": params.epsilon,
-                           "schedule": schedule, **run_meta})
+    series, run_meta = _shared_stream(params, [t.subject for t in terms],
+                                      schedule, margin)
+    return _mc_report(terms, meta, series,
+                      {"epsilon": params.epsilon, "schedule": schedule, **run_meta})
 
 
 def _subject_key(subject):
     s = as_string(subject)
     return tuple(sorted(l.word for l in s.loops))
+
+
+def _shared_stream(params: ActionParams, subjects, schedule: MCSchedule,
+                   margin: int):
+    """One chain that measures each distinct subject once.
+
+    Returns series(subject), the real (n_meas, n_chains) samples of any of
+    the subjects, and the chain's meta.
+    """
+    index, distinct = {}, []
+    for subject in subjects:
+        key = _subject_key(subject)
+        if key not in index:
+            index[key] = len(distinct)
+            distinct.append(subject)
+    samples, run_meta = run_chain(params, distinct, schedule, margin=margin)
+
+    def series(subject):
+        return samples[:, index[_subject_key(subject)], :].real
+
+    return series, run_meta
+
+
+def _weighted(terms, series):
+    """The series of sum(coefficient * W) over the terms."""
+    total = 0.0
+    for t in terms:
+        total = total + t.coefficient * series(t.subject)
+    return total
+
+
+def _mc_report(terms, meta, series, extra) -> EquationReport:
+    values = [make_estimate(series(t.subject)) for t in terms]
+    resid = make_estimate(_weighted(terms, series))
+    return EquationReport(list(terms), values, resid.mean, resid.sigma,
+                          {"backend": "mc", **meta, **extra})
+
+
+def _second_occurrence(s: LoopString, site):
+    """The bond at `site` and the (component, location) of its first other
+    occurrence in the string."""
+    comp, loc = site
+    e = s.loops[comp].word[loc]
+    for c2, other in enumerate(s.loops):
+        for y, b in enumerate(other.word):
+            if b == e and (c2, y) != (comp, loc):
+                return e, (c2, y)
+    raise EquationError("no second crossing-bond occurrence found")
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +293,6 @@ def combination_value(geometry: CrossingGeometry, backend: U1Backend,
             - a[3] * dvals["e3"] - a[4] * dvals["e4"])
 
 
-def triple_combination_value(geometry: CrossingGeometry, backend: U1Backend,
-                             triple) -> float:
-    """D at the triple's crossing bond minus half the two side-bond D's."""
-    de = deformation_value(geometry.subject, triple.site_e, backend)
-    da = deformation_value(geometry.subject, triple.site_a, backend)
-    db = deformation_value(geometry.subject, triple.site_b, backend)
-    return de - 0.5 * da - 0.5 * db
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -331,23 +349,14 @@ def convergence_simple(spec: GroupSpec, t: float, eps_list, tol: float = 1e-11):
 
 
 def convergence_crossing(eps_list, t2: float = 0.5, t4: float = 0.5,
-                         family: str = "figure-eight",
                          extra_combos=((( .7, .3), (0.2, 0.2, 0.1, 0.3, 0.2)),),
-                         max_triples: int | None = None,
-                         family_kwargs=None):
-    """The crossing-convergence sweep: per-triple combinations and the
-    general (a, b) combinations, against the alternating area derivative."""
+                         max_triples: int | None = None):
+    """The crossing-convergence sweep on the figure-eight: per-triple
+    combinations and the general (a, b) combinations, against the
+    alternating area derivative."""
     rows = []
     for eps in eps_list:
-        kwargs = dict(family_kwargs or {})
-        if family == "figure-eight":
-            geometry = make_figure_eight(t2, t4, eps)
-        elif family == "coil":
-            geometry = make_coil(t4, eps, **kwargs)
-        elif family == "limacon":
-            geometry = make_limacon(t4, t2, eps, **kwargs)
-        else:
-            raise EquationError(f"unsupported family {family!r}")
+        geometry = make_figure_eight(t2, t4, eps)
         backend = U1Backend(eps)
         graph = geometry.graph()
         faces = geometry.lattice_faces(graph)
@@ -386,30 +395,29 @@ def convergence_crossing(eps_list, t2: float = 0.5, t4: float = 0.5,
             "triple_spread": max(triple_values) - min(triple_values),
             "exactness": max(abs(v - split_val) for v in triple_values),
         })
-    return {"family": family, "rows": rows}
+    return {"family": "figure-eight", "rows": rows}
 
 
 def _splitting_value(geometry: CrossingGeometry, backend: U1Backend) -> float:
     """E W of the positive splitting at the crossing (the two sub-loops)."""
     comp, loc = geometry.annotation.e_first[0]
     s = as_string(geometry.subject)
-    loop = s.loops[comp]
-    e = loop.word[loc]
-    others = [ (c2, y) for c2, l2 in enumerate(s.loops) for y, b in enumerate(l2.word)
-               if b == e and (c2, y) != (comp, loc) ]
-    if not others:
-        raise EquationError("no second crossing-bond occurrence found")
-    c2, y = others[0]
+    e, (c2, y) = _second_occurrence(s, (comp, loc))
     if c2 == comp:
-        split = string_split(s, comp, e, loc, y, positive=True)
-        return backend.expectation(split)
+        return backend.expectation(string_split(s, comp, e, loc, y, positive=True))
     # cross-component occurrence: the merger term (coefficient 1/N^2 = 1 here)
-    merged = string_merge(s, comp, c2, e, loc, y, positive=True)
-    return backend.expectation(merged)
+    return backend.expectation(string_merge(s, comp, c2, e, loc, y, positive=True))
+
+
+def _crossing_family(family: str, epsilon: float, t2: float, t4: float):
+    """A figure-eight, coil or limacon from driver.FAMILIES; the coil has
+    only the t4 lobe."""
+    params = {"t4": t4} if family == "coil" else {"t2": t2, "t4": t4}
+    return make_lattice_approximation(family, epsilon, **params)
 
 
 def crossing_im_sweep(eps_list, family: str = "coil", t4: float = 0.5,
-                      t2: float = 0.5, family_kwargs=None):
+                      t2: float = 0.5):
     """Per-equation deformation limits with correction terms (I_m validators).
 
     Checks, per epsilon, the three deformation sums against their limits
@@ -420,15 +428,7 @@ def crossing_im_sweep(eps_list, family: str = "coil", t4: float = 0.5,
     """
     rows = []
     for eps in eps_list:
-        kwargs = dict(family_kwargs or {})
-        if family == "coil":
-            geometry = make_coil(t4, eps, **kwargs)
-        elif family == "figure-eight":
-            geometry = make_figure_eight(t2, t4, eps)
-        elif family == "limacon":
-            geometry = make_limacon(t4, t2, eps, **kwargs)
-        else:
-            raise EquationError(f"unsupported family {family!r}")
+        geometry = _crossing_family(family, eps, t2, t4)
         backend = U1Backend(eps)
         graph = geometry.graph()
         faces = geometry.lattice_faces(graph)
@@ -499,10 +499,7 @@ def degenerate_checks(epsilon: float = 0.25, tol_quad: float = 1e-11):
     """
     out = {}
     for kind in ("limacon", "coil"):
-        if kind == "limacon":
-            geometry = make_limacon(0.5, 0.5, epsilon)
-        else:
-            geometry = make_coil(0.5, epsilon)
+        geometry = _crossing_family(kind, epsilon, 0.5, 0.5)
         graph = geometry.graph()
         faces = geometry.lattice_faces(graph)
         wedges = geometry.wedge_face_indices(graph)
@@ -553,92 +550,39 @@ def unified_equation_reports(spec: GroupSpec, epsilon: float,
     """
     geometry = make_figure_eight(t2, t4, epsilon)
     ann = geometry.annotation
-    params = ActionParams(spec, epsilon)
-    site_e, site_1, site_3 = ann.e_first[0], ann.e1[0], ann.e3[0]
-
-    eq_specs = {
-        "at_e": EquationSpec(spec, epsilon, geometry.subject, site_e),
-        "at_e1": EquationSpec(spec, epsilon, geometry.subject, site_1),
-        "at_e3": EquationSpec(spec, epsilon, geometry.subject, site_3),
-    }
-    assembled = {k: assemble(v) for k, v in eq_specs.items()}
+    sites = {"at_e": ann.e_first[0], "at_e1": ann.e1[0], "at_e3": ann.e3[0]}
+    assembled = {key: assemble(EquationSpec(spec, epsilon, geometry.subject, site))
+                 for key, site in sites.items()}
 
     # the combination EE30 - EE31/2 - EE32/2 as a single weighted term list
-    combo_terms = []
-    for key, weight in (("at_e", 1.0), ("at_e1", -0.5), ("at_e3", -0.5)):
-        for t in assembled[key][0]:
-            combo_terms.append(Term(f"{key}:{t.tag}", weight * t.coefficient,
-                                    t.subject))
+    combo_terms = [Term(f"{key}:{t.tag}", weight * t.coefficient, t.subject)
+                   for key, weight in (("at_e", 1.0), ("at_e1", -0.5), ("at_e3", -0.5))
+                   for t in assembled[key][0]]
 
     # extra observables for the continuum comparison
     s = as_string(geometry.subject)
-    comp, loc = site_e
-    e = s.loops[comp].word[loc]
-    other = [(c2, y) for c2, l2 in enumerate(s.loops)
-             for y, b in enumerate(l2.word) if b == e and (c2, y) != (comp, loc)]
-    c2, y = other[0]
+    comp, loc = sites["at_e"]
+    e, (_, y) = _second_occurrence(s, sites["at_e"])
     split = string_split(s, comp, e, loc, y, positive=True)
     twist = string_twist(s, comp, e, loc, y, positive=False)
 
-    subjects = []
-    index = {}
-
-    def register(subject):
-        key = _subject_key(subject)
-        if key not in index:
-            index[key] = len(subjects)
-            subjects.append(subject)
-        return index[key]
-
-    for t in combo_terms:
-        register(t.subject)
-    i_w = register(s)
-    i_split = register(split)
-    i_twist = register(twist)
-
-    samples, run_meta = run_chain(params, subjects, schedule, margin=margin)
-
-    def series(subject):
-        return samples[:, index[_subject_key(subject)], :].real
-
-    reports = {}
-    for key, weight in (("at_e", 1.0), ("at_e1", 1.0), ("at_e3", 1.0)):
-        terms, meta = assembled[key]
-        resid_series = np.zeros(samples.shape[0::2])
-        values = []
-        for t in terms:
-            w = series(t.subject)
-            values.append(make_estimate(w))
-            resid_series = resid_series + t.coefficient * w
-        est = make_estimate(resid_series)
-        reports[key] = EquationReport(terms, values, est.mean, est.sigma,
-                                      {"backend": "mc", **meta,
-                                       "epsilon": epsilon})
-
-    combo_series = np.zeros(samples.shape[0::2])
-    for t in combo_terms:
-        combo_series = combo_series + t.coefficient * series(t.subject)
-    combo = make_estimate(combo_series)
+    series, run_meta = _shared_stream(
+        ActionParams(spec, epsilon),
+        [t.subject for t in combo_terms] + [s, split, twist], schedule, margin)
+    reports = {key: _mc_report(*assembled[key], series, {"epsilon": epsilon})
+               for key in sites}
+    combo = make_estimate(_weighted(combo_terms, series))
 
     # deformation-combination vs the continuum RHS of the limit equation
     tw = (2.0 - spec.beta_g) / (spec.beta_g * spec.n)
     gam = spec.gamma_g / spec.n**2
-    dcomb_series = np.zeros(samples.shape[0::2])
-    for t in combo_terms:
-        if "deform" in t.tag:
-            dcomb_series = dcomb_series + t.coefficient * series(t.subject)
+    dcomb_series = _weighted([t for t in combo_terms if "deform" in t.tag], series)
     rhs_series = (series(split) - tw * series(twist) - gam * series(s))
-    gap_series = dcomb_series - rhs_series
-    gap = make_estimate(gap_series)
+    gap = make_estimate(dcomb_series - rhs_series)
 
     # expansion pair contributions (SU only), reported
-    exp_series = np.zeros(samples.shape[0::2])
-    has_exp = False
-    for t in combo_terms:
-        if "expand" in t.tag:
-            has_exp = True
-            exp_series = exp_series + t.coefficient * series(t.subject)
-    expansion = make_estimate(exp_series) if has_exp else None
+    exp_terms = [t for t in combo_terms if "expand" in t.tag]
+    expansion = make_estimate(_weighted(exp_terms, series)) if exp_terms else None
 
     return {
         "geometry": geometry,

@@ -14,17 +14,18 @@ import json
 import math
 import os
 import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from loopfield.groups import GroupSpec, parse_group
 from loopfield.action import (ActionParams, char_coefficient, build_char_table,
-                              CharCoeffTable, gaussian_lemma_check, lemma_j1_check,
+                              gaussian_lemma_check, lemma_j1_check,
                               partition_function, QuadratureError, TailBudgetError,
                               standard_label)
 from loopfield.loops import (random_loop, plaquette_loop, loop_to_text,
                              make_loop_from_moves, split_positive, merge_positive,
-                             merge_negative, twist_negative)
+                             twist_negative)
 from loopfield.driver import (U1Backend, make_figure_eight,
                               make_rectangle)
 from loopfield.equations import (EquationSpec, assemble, evaluate_exact_u1,
@@ -34,10 +35,8 @@ from loopfield.equations import (EquationSpec, assemble, evaluate_exact_u1,
                                  unified_equation_reports,
                                  finite_difference_alternating)
 from loopfield.sampler import (MCSchedule, LatticeBox, init_config,
-                               sweep_heatbath_u1, sweep_metropolis,
-                               estimate_wilson, gauge_transform,
-                               WilsonObservable, run_chain, make_estimate,
-                               plaquette_product)
+                               sweep_metropolis, estimate_wilson, gauge_transform,
+                               WilsonObservable, plaquette_product)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -49,42 +48,150 @@ class ConfigError(ValueError):
     pass
 
 
-_COMMON_KEYS = {
-    "experiment": {"name"},
-    "output": {"path", "formats"},
-    "tolerances": {"residual", "final_gap", "outer_cancel", "identity",
-                   "slope_lo", "slope_hi", "n_sigma"},
-    "overrides": {"deform-minus", "deform-plus", "split-pos", "split-neg",
-                  "twist-neg", "twist-pos", "expand-pos", "expand-neg",
-                  "merge-pos", "merge-neg", "base"},
-}
+@dataclass(frozen=True)
+class Key:
+    """One accepted config key: the parser of its text, the check of the
+    parsed value, that range in words, and the value when the key is absent."""
+    parse: object
+    ok: object
+    rule: str
+    default: object = None
 
-_EXPERIMENT_KEYS = {
-    "verify-discrete": {"grid": {"epsilons"},
-                        "geometry": {"t2", "t4"},
-                        "random": {"count", "seed", "halfsteps"}},
-    "converge-simple": {"grid": {"epsilons"}, "geometry": {"t"},
-                        "groups": {"list"}},
-    "converge-crossing": {"grid": {"epsilons"},
-                          "geometry": {"t2", "t4", "family"},
-                          "combos": {"b", "a", "b2", "a2"},
-                          "triples": {"max_triples"}},
-    "converge-merger": {"grid": {"epsilons"}, "geometry": {"side", "overlap"}},
-    "converge-unified": {"grid": {"epsilons"}, "geometry": {"t2", "t4"},
-                         "groups": {"list"},
-                         "mc": {"sweeps", "burn_in", "thin", "chains", "seed"}},
-    "gauss-lemma": {"grid": {"epsilons", "epsilons_j1"}},
-    "degenerate": {"grid": {"epsilon"}},
-    "sample-diagnostics": {"grid": {"epsilons"},
-                           "mc": {"sweeps", "burn_in", "thin", "chains", "seed"},
-                           "geometry": {"t"}},
+
+def _floats(text):
+    return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+def _groups(text):
+    return tuple(parse_group(g) for g in text.split())
+
+
+def _positive(v):
+    return 0.0 < v < math.inf
+
+
+def _kind(parse, ok, rule):
+    return lambda default=None: Key(parse, ok, rule, default)
+
+
+FLOAT = _kind(float, math.isfinite, "finite float")
+POSITIVE = _kind(float, _positive, "float > 0")
+EPSILONS = _kind(_floats, lambda v: len(v) > 0 and all(map(_positive, v)),
+                 "list of floats > 0")
+# a convergence sweep: its "decreasing" clauses hold vacuously on one point
+SWEEP = _kind(_floats, lambda v: len(set(v)) > 1 and all(map(_positive, v)),
+              "list of two or more distinct floats > 0")
+COUNT = _kind(int, lambda v: v >= 1, "integer >= 1")
+SEED = _kind(int, lambda v: v >= 0, "integer >= 0")
+U1, U2 = GroupSpec("U", 1), GroupSpec("U", 2)
+SU2, SO3 = GroupSpec("SU", 2), GroupSpec("SO", 3)
+GROUPS = _kind(_groups, bool, "list of U(N), SU(N), SO(N) names")
+# the groups with the quadrature converge-simple needs (trace_power_integral)
+SIMPLE_GROUPS = _kind(_groups, lambda v: bool(v) and set(v) <= {U1, U2, SU2, SO3},
+                      "list of U1, U2, SU2, SO3")
+# combination_value's own tolerance on the sum
+WEIGHTS = {n: Key(_floats, lambda v, n=n: len(v) == n and abs(sum(v) - 1.0) <= 1e-12,
+                  f"{n} floats summing to 1") for n in (2, 5)}
+
+
+def _mc(sweeps, burn_in, thin, chains, seed):
+    return {("mc", "sweeps"): COUNT(sweeps), ("mc", "burn_in"): COUNT(burn_in),
+            ("mc", "thin"): COUNT(thin), ("mc", "chains"): COUNT(chains),
+            ("mc", "seed"): SEED(seed)}
+
+
+# (experiment, section, key) -> Key: every key an experiment reads, and no
+# other.  [overrides] holds the term tags a U(1) single-loop equation has
+# (no twist, expansion or merger terms).
+SCHEMA = {
+    "verify-discrete": {
+        ("grid", "epsilons"): EPSILONS((0.25, 0.125)),
+        ("geometry", "t2"): POSITIVE(0.5),
+        ("geometry", "t4"): POSITIVE(0.5),
+        ("random", "count"): COUNT(50),
+        ("random", "seed"): SEED(2024),
+        ("random", "halfsteps"): COUNT(4),
+        ("tolerances", "residual"): POSITIVE(1e-9),
+        **{("overrides", tag): FLOAT(1.0) for tag in
+           ("deform-minus", "deform-plus", "split-pos", "split-neg", "base")},
+    },
+    "converge-simple": {
+        ("grid", "epsilons"): SWEEP((0.25, 0.125, 0.0625)),
+        ("geometry", "t"): POSITIVE(1.0),
+        ("groups", "list"): SIMPLE_GROUPS((U1, U2)),
+        ("tolerances", "final_gap"): POSITIVE(1e-2),
+        ("tolerances", "outer_cancel"): POSITIVE(1e-12),
+    },
+    "converge-crossing": {
+        ("grid", "epsilons"): SWEEP((0.25, 0.125, 0.0625)),
+        ("geometry", "t2"): POSITIVE(0.5),
+        ("geometry", "t4"): POSITIVE(0.5),
+        ("combos", "b"): WEIGHTS[2],
+        ("combos", "a"): WEIGHTS[5],
+        ("combos", "b2"): WEIGHTS[2],
+        ("combos", "a2"): WEIGHTS[5],
+        ("triples", "max_triples"): COUNT(),
+        ("tolerances", "final_gap"): POSITIVE(1e-2),
+        ("tolerances", "residual"): POSITIVE(1e-9),
+        ("tolerances", "identity"): POSITIVE(1e-6),
+    },
+    "converge-merger": {
+        ("grid", "epsilons"): SWEEP((0.25, 0.125, 0.0625)),
+        ("geometry", "side"): POSITIVE(1.5),
+        ("geometry", "overlap"): POSITIVE(0.75),
+        ("tolerances", "final_gap"): POSITIVE(1e-2),
+        ("tolerances", "residual"): POSITIVE(1e-9),
+    },
+    "converge-unified": {
+        ("grid", "epsilons"): EPSILONS((0.5,)),
+        ("geometry", "t2"): POSITIVE(1.0),
+        ("geometry", "t4"): POSITIVE(1.0),
+        ("groups", "list"): GROUPS((SU2, SO3)),
+        ("tolerances", "n_sigma"): POSITIVE(3.0),
+        **_mc(3000, 400, 3, 12, 20260301),
+    },
+    "gauss-lemma": {
+        ("grid", "epsilons"): SWEEP((0.4, 0.28, 0.2, 0.14, 0.1)),
+        ("grid", "epsilons_j1"): SWEEP((0.4, 0.2, 0.1)),
+        ("tolerances", "slope_lo"): FLOAT(3.5),
+        ("tolerances", "slope_hi"): FLOAT(4.5),
+    },
+    "degenerate": {
+        ("grid", "epsilon"): POSITIVE(0.25),
+        ("tolerances", "identity"): POSITIVE(1e-8),
+    },
+    "sample-diagnostics": {
+        ("grid", "epsilons"): EPSILONS((0.5, 1.0)),
+        ("geometry", "t"): POSITIVE(0.5),
+        ("tolerances", "n_sigma"): POSITIVE(3.0),
+        **_mc(5000, 400, 2, 16, 777),
+    },
+}
+for _keys in SCHEMA.values():
+    _keys[("output", "path")] = Key(str, bool, "file stem")
+
+_ONE_MEASUREMENT = ("[mc] thin <= sweeps",
+                    lambda c: c["mc"]["thin"] <= c["mc"]["sweeps"])
+
+# conditions between keys of one experiment
+RULES = {
+    "converge-crossing": [
+        (f"[combos] {b} and {a} come together",
+         lambda c, a=a, b=b: (c["combos"][a] is None) == (c["combos"][b] is None))
+        for b, a in (("b", "a"), ("b2", "a2"))],
+    "converge-merger": [("[geometry] overlap < side",
+                         lambda c: c["geometry"]["overlap"] < c["geometry"]["side"])],
+    "converge-unified": [_ONE_MEASUREMENT],
+    "sample-diagnostics": [_ONE_MEASUREMENT],
 }
 
 
 def load_config(path: str):
+    """(experiment name, {section: {key: typed value}}) with every key of
+    the experiment's schema, absent ones at their defaults."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -92,59 +199,35 @@ def load_config(path: str):
     if "experiment" not in parser or "name" not in parser["experiment"]:
         raise ConfigError("config needs [experiment] name = ...")
     name = parser["experiment"]["name"].strip()
-    if name not in _EXPERIMENT_KEYS:
+    if name not in SCHEMA:
         raise ConfigError(f"unknown experiment {name!r}")
-    allowed = dict(_COMMON_KEYS)
-    allowed.update(_EXPERIMENT_KEYS[name])
+    schema = SCHEMA[name]
+    sections = {section for section, _ in schema}
     for section in parser.sections():
-        if section not in allowed:
+        if section != "experiment" and section not in sections:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in allowed[section]:
+            if (section, key) not in schema and (section, key) != ("experiment", "name"):
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-    cfg = {s: dict(parser[s]) for s in parser.sections()}
-    _validate_values(name, cfg)
+    cfg = {section: {} for section in sections}
+    for (section, key), spec in schema.items():
+        text = parser.get(section, key, fallback=None)
+        cfg[section][key] = spec.default if text is None else _parse(section, key, spec, text)
+    for rule, holds in RULES.get(name, ()):
+        if not holds(cfg):
+            raise ConfigError(f"{name} needs {rule}")
     return name, cfg
 
 
-def _validate_values(name, cfg):
-    for section, key in (("grid", "epsilons"), ("grid", "epsilons_j1")):
-        if section in cfg and key in cfg[section]:
-            _parse_floats(cfg[section][key])
-    if "mc" in cfg:
-        for key, val in cfg["mc"].items():
-            if int(val) <= 0:
-                raise ConfigError(f"mc {key} must be positive")
-    if "overrides" in cfg:
-        for key, val in cfg["overrides"].items():
-            float(val)
-
-
-def _parse_floats(text):
+def _parse(section, key, spec, text):
     try:
-        vals = [float(v) for v in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}") from exc
-    if not vals or any(v <= 0 for v in vals):
-        raise ConfigError(f"float list must be positive: {text!r}")
-    return vals
-
-
-def _get(cfg, section, key, default=None, cast=float):
-    if section in cfg and key in cfg[section]:
-        return cast(cfg[section][key])
-    return default
-
-
-def _schedule_from(cfg, defaults: MCSchedule) -> MCSchedule:
-    mc = cfg.get("mc", {})
-    return MCSchedule(
-        sweeps=int(mc.get("sweeps", defaults.sweeps)),
-        burn_in=int(mc.get("burn_in", defaults.burn_in)),
-        thin=int(mc.get("thin", defaults.thin)),
-        chains=int(mc.get("chains", defaults.chains)),
-        seed=int(mc.get("seed", defaults.seed)),
-    )
+        value = spec.parse(text)
+    except ValueError:
+        pass
+    else:
+        if spec.ok(value):
+            return value
+    raise ConfigError(f"[{section}] {key} = {text!r}: expected {spec.rule}")
 
 
 class Clause:
@@ -156,6 +239,17 @@ class Clause:
     def line(self):
         mark = "PASS" if self.passed else "FAIL"
         return f"[{mark}] {self.name}" + (f"  ({self.detail})" if self.detail else "")
+
+
+def _decreasing(name, seq):
+    return Clause(name, all(a > b for a, b in zip(seq, seq[1:])),
+                  " -> ".join(f"{g:.2e}" for g in seq))
+
+
+def _within(name, mean, sigma, n_sigma):
+    z = mean / max(sigma, 1e-300)
+    return Clause(f"{name} within {n_sigma:g} sigma", abs(z) <= n_sigma,
+                  f"z = {z:.2f}")
 
 
 CSV_COLUMNS = ["experiment", "group", "epsilon", "triple_id", "term", "value",
@@ -196,14 +290,12 @@ def write_reports(path_base, rows, clauses, extra=None):
 
 
 def run_verify_discrete(cfg):
-    tol = _get(cfg, "tolerances", "residual", 1e-9)
-    epsilons = _parse_floats(cfg.get("grid", {}).get("epsilons", "0.25 0.125"))
-    t2 = _get(cfg, "geometry", "t2", 0.5)
-    t4 = _get(cfg, "geometry", "t4", 0.5)
-    count = int(_get(cfg, "random", "count", 50, cast=int))
-    seed = int(_get(cfg, "random", "seed", 2024, cast=int))
-    halfsteps = int(_get(cfg, "random", "halfsteps", 4, cast=int))
-    overrides = {k: float(v) for k, v in cfg.get("overrides", {}).items()}
+    tol = cfg["tolerances"]["residual"]
+    epsilons = cfg["grid"]["epsilons"]
+    t2, t4 = cfg["geometry"]["t2"], cfg["geometry"]["t4"]
+    count = cfg["random"]["count"]
+    halfsteps = cfg["random"]["halfsteps"]
+    overrides = cfg["overrides"]
     group = GroupSpec("U", 1)
 
     rows, clauses = [], []
@@ -224,7 +316,7 @@ def run_verify_discrete(cfg):
     clauses.append(Clause("figure-eight residual < %.0e" % tol,
                           worst_fig8 < tol, f"max |R| = {worst_fig8:.2e}"))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["random"]["seed"])
     worst_rand = 0.0
     eps = epsilons[0]
     backend = U1Backend(eps)
@@ -243,15 +335,11 @@ def run_verify_discrete(cfg):
 
 
 def run_converge_simple(cfg):
-    epsilons = _parse_floats(cfg.get("grid", {}).get("epsilons", "0.25 0.125 0.0625"))
-    t = _get(cfg, "geometry", "t", 1.0)
-    final_tol = _get(cfg, "tolerances", "final_gap", 1e-2)
-    outer_tol = _get(cfg, "tolerances", "outer_cancel", 1e-12)
-    groups = [parse_group(g) for g in
-              cfg.get("groups", {}).get("list", "U1 U2").split()]
+    final_tol = cfg["tolerances"]["final_gap"]
+    outer_tol = cfg["tolerances"]["outer_cancel"]
     rows, clauses = [], []
-    for spec in groups:
-        rep = convergence_simple(spec, t, epsilons)
+    for spec in cfg["groups"]["list"]:
+        rep = convergence_simple(spec, cfg["geometry"]["t"], cfg["grid"]["epsilons"])
         gaps = [r["gap"] for r in rep["rows"]]
         outs = [r["outer_cancel"] for r in rep["rows"]]
         for r in rep["rows"]:
@@ -259,10 +347,7 @@ def run_converge_simple(cfg):
                          "epsilon": r["epsilon"], "value": r["D"],
                          "target": r["target"], "gap": r["gap"],
                          "term": "deformation-combination"})
-        _rows_with_rates([r for r in rows if r["group"] == str(spec)])
-        clauses.append(Clause(f"{spec}: gap strictly decreasing",
-                              all(a > b for a, b in zip(gaps, gaps[1:])),
-                              " -> ".join(f"{g:.2e}" for g in gaps)))
+        clauses.append(_decreasing(f"{spec}: gap strictly decreasing", gaps))
         clauses.append(Clause(f"{spec}: final gap < {final_tol:g}",
                               gaps[-1] < final_tol, f"{gaps[-1]:.2e}"))
         clauses.append(Clause(f"{spec}: exact outer cancellation",
@@ -270,17 +355,21 @@ def run_converge_simple(cfg):
     return rows, clauses, {}
 
 
+DEFAULT_COMBOS = (((0.7, 0.3), (0.2, 0.2, 0.1, 0.3, 0.2)),
+                  ((1.5, -0.5), (0.4, 0.1, 0.2, 0.1, 0.2)))
+
+
 def run_converge_crossing(cfg):
-    epsilons = _parse_floats(cfg.get("grid", {}).get("epsilons", "0.25 0.125 0.0625"))
-    t2 = _get(cfg, "geometry", "t2", 0.5)
-    t4 = _get(cfg, "geometry", "t4", 0.5)
-    final_tol = _get(cfg, "tolerances", "final_gap", 1e-2)
-    res_tol = _get(cfg, "tolerances", "residual", 1e-9)
-    max_triples = _get(cfg, "triples", "max_triples", None,
-                       cast=lambda v: int(v))
-    combos = _combo_pairs(cfg)
-    rep = convergence_crossing(epsilons, t2, t4, extra_combos=combos,
-                               max_triples=max_triples)
+    epsilons = cfg["grid"]["epsilons"]
+    t4 = cfg["geometry"]["t4"]
+    final_tol = cfg["tolerances"]["final_gap"]
+    res_tol = cfg["tolerances"]["residual"]
+    given = cfg["combos"]
+    combos = tuple((given[b], given[a]) for b, a in (("b", "a"), ("b2", "a2"))
+                   if given[b] is not None) or DEFAULT_COMBOS
+    rep = convergence_crossing(epsilons, cfg["geometry"]["t2"], t4,
+                               extra_combos=combos,
+                               max_triples=cfg["triples"]["max_triples"])
     rows, clauses = [], []
     for r in rep["rows"]:
         for i, v in enumerate(r["triples"]):
@@ -294,9 +383,7 @@ def run_converge_crossing(cfg):
                          "value": v, "target": r["target"],
                          "gap": abs(v - r["target"]), "term": "ab-combination"})
     gaps = [r["gap"] for r in rep["rows"]]
-    clauses.append(Clause("gap strictly decreasing",
-                          all(a > b for a, b in zip(gaps, gaps[1:])),
-                          " -> ".join(f"{g:.2e}" for g in gaps)))
+    clauses.append(_decreasing("gap strictly decreasing", gaps))
     clauses.append(Clause(f"final gap < {final_tol:g}", gaps[-1] < final_tol,
                           f"{gaps[-1]:.2e}"))
     spread = max(r["triple_spread"] for r in rep["rows"])
@@ -316,55 +403,30 @@ def run_converge_crossing(cfg):
         rows.append({"experiment": "converge-crossing", "group": "U(1)",
                      "epsilon": r["epsilon"], "term": "im-limit-at-e",
                      "gap": r["gap_e"], "value": r["identity_loop1"]})
-    id_tol = _get(cfg, "tolerances", "identity", 1e-6)
+    id_tol = cfg["tolerances"]["identity"]
     worst_id = max(max(r["identity_loop1"], r["identity_g2"], r["identity_g3"])
                    for r in im["rows"])
     clauses.append(Clause(f"correction-term identities < {id_tol:g}",
                           worst_id < id_tol, f"max {worst_id:.2e}"))
     for key in ("gap_e", "gap_e1", "gap_e3"):
-        seq = [r[key] for r in im["rows"]]
-        clauses.append(Clause(f"deformation limit sweep {key} decreasing",
-                              all(a > b for a, b in zip(seq, seq[1:])),
-                              " -> ".join(f"{g:.2e}" for g in seq)))
+        clauses.append(_decreasing(f"deformation limit sweep {key} decreasing",
+                                   [r[key] for r in im["rows"]]))
     return rows, clauses, {}
 
 
-def _combo_pairs(cfg):
-    combos = []
-    section = cfg.get("combos", {})
-    for bkey, akey in (("b", "a"), ("b2", "a2")):
-        if bkey in section and akey in section:
-            b = tuple(_parse_signed(section[bkey]))
-            a = tuple(_parse_signed(section[akey]))
-            combos.append((b, a))
-    if not combos:
-        combos = [((0.7, 0.3), (0.2, 0.2, 0.1, 0.3, 0.2)),
-                  ((1.5, -0.5), (0.4, 0.1, 0.2, 0.1, 0.2))]
-    return tuple(combos)
-
-
-def _parse_signed(text):
-    return [float(v) for v in text.replace(",", " ").split()]
-
-
 def run_converge_merger(cfg):
-    epsilons = _parse_floats(cfg.get("grid", {}).get("epsilons", "0.25 0.125 0.0625"))
-    side = _get(cfg, "geometry", "side", 1.5)
-    overlap = _get(cfg, "geometry", "overlap", 0.75)
-    final_tol = _get(cfg, "tolerances", "final_gap", 1e-2)
-    res_tol = _get(cfg, "tolerances", "residual", 1e-9)
-    rep = convergence_merger(epsilons, side, overlap)
+    final_tol = cfg["tolerances"]["final_gap"]
+    res_tol = cfg["tolerances"]["residual"]
+    rep = convergence_merger(cfg["grid"]["epsilons"], cfg["geometry"]["side"],
+                             cfg["geometry"]["overlap"])
     rows, clauses = [], []
     for r in rep["rows"]:
         rows.append({"experiment": "converge-merger", "group": "U(1)",
                      "epsilon": r["epsilon"], "value": r["combination"],
                      "target": r["target"], "gap": r["gap"],
                      "term": "merger-combination"})
-    _rows_with_rates(rows)
     gaps = [r["gap"] for r in rep["rows"]]
-    clauses.append(Clause("gap strictly decreasing",
-                          all(a > b for a, b in zip(gaps, gaps[1:])),
-                          " -> ".join(f"{g:.2e}" for g in gaps)))
+    clauses.append(_decreasing("gap strictly decreasing", gaps))
     clauses.append(Clause(f"final gap < {final_tol:g}", gaps[-1] < final_tol,
                           f"{gaps[-1]:.2e}"))
     worst = max(r["exactness"] for r in rep["rows"])
@@ -377,11 +439,7 @@ def run_converge_merger(cfg):
 
 
 def run_gauss_lemma(cfg):
-    epsilons = _parse_floats(cfg.get("grid", {}).get(
-        "epsilons", "0.4 0.28 0.2 0.14 0.1"))
-    eps_j1 = _parse_floats(cfg.get("grid", {}).get("epsilons_j1", "0.4 0.2 0.1"))
-    lo = _get(cfg, "tolerances", "slope_lo", 3.5)
-    hi = _get(cfg, "tolerances", "slope_hi", 4.5)
+    lo, hi = cfg["tolerances"]["slope_lo"], cfg["tolerances"]["slope_hi"]
     spec = GroupSpec("U", 2)
     rows, clauses = [], []
 
@@ -392,7 +450,7 @@ def run_gauss_lemma(cfg):
                          lambda q: float(1.0 - abs(np.trace(q))**2 / 4.0)),
     }
     for name, (f_ang, f_mat) in tests.items():
-        rep = gaussian_lemma_check(spec, f_ang, f_mat, epsilons)
+        rep = gaussian_lemma_check(spec, f_ang, f_mat, cfg["grid"]["epsilons"])
         for r in rep["rows"]:
             rows.append({"experiment": "gauss-lemma", "group": "U(2)",
                          "epsilon": r["epsilon"], "term": name,
@@ -402,21 +460,19 @@ def run_gauss_lemma(cfg):
             f"{name}: residual slope in [{lo}, {hi}]",
             lo <= rep["slope"] <= hi, f"slope {rep['slope']:.3f}"))
 
-    repj = lemma_j1_check(0.7, 1.3, 1.0, eps_j1)
-    gaps = [r["gap"] for r in repj["rows"]]
+    repj = lemma_j1_check(0.7, 1.3, 1.0, cfg["grid"]["epsilons_j1"])
     for r in repj["rows"]:
         rows.append({"experiment": "gauss-lemma", "group": "U(1)",
                      "epsilon": r["epsilon"], "term": "lemma-J1",
                      "gap": r["gap"]})
-    clauses.append(Clause("lemma-J1 gap decreasing",
-                          all(a > b for a, b in zip(gaps, gaps[1:])),
-                          " -> ".join(f"{g:.2e}" for g in gaps)))
+    clauses.append(_decreasing("lemma-J1 gap decreasing",
+                               [r["gap"] for r in repj["rows"]]))
     return rows, clauses, {}
 
 
 def run_degenerate(cfg):
-    eps = _get(cfg, "grid", "epsilon", 0.25)
-    tol = _get(cfg, "tolerances", "identity", 1e-8)
+    eps = cfg["grid"]["epsilon"]
+    tol = cfg["tolerances"]["identity"]
     out = degenerate_checks(eps)
     rows, clauses = [], []
     for kind, entry in out.items():
@@ -440,37 +496,27 @@ def run_degenerate(cfg):
 
 
 def run_converge_unified(cfg):
-    epsilons = _parse_floats(cfg.get("grid", {}).get("epsilons", "0.5"))
-    t2 = _get(cfg, "geometry", "t2", 1.0)
-    t4 = _get(cfg, "geometry", "t4", 1.0)
-    n_sigma = _get(cfg, "tolerances", "n_sigma", 3.0)
-    groups = [parse_group(g) for g in
-              cfg.get("groups", {}).get("list", "SU2 SO3").split()]
-    schedule = _schedule_from(cfg, MCSchedule(sweeps=3000, burn_in=400,
-                                              thin=3, chains=12, seed=20260301))
+    t2, t4 = cfg["geometry"]["t2"], cfg["geometry"]["t4"]
+    n_sigma = cfg["tolerances"]["n_sigma"]
+    schedule = MCSchedule(**cfg["mc"])
     rows, clauses = [], []
-    for spec in groups:
-        for eps in epsilons:
+    for spec in cfg["groups"]["list"]:
+        for eps in cfg["grid"]["epsilons"]:
             out = unified_equation_reports(spec, eps, schedule, t2=t2, t4=t4)
             for key, rep in out["reports"].items():
-                z = rep.residual / max(rep.residual_sigma, 1e-300)
                 rows.append({"experiment": "converge-unified", "group": str(spec),
                              "epsilon": eps, "term": key,
                              "residual": rep.residual,
                              "residual_sigma": rep.residual_sigma})
-                clauses.append(Clause(
-                    f"{spec} eps={eps:g} {key} residual within {n_sigma:g} sigma",
-                    abs(z) <= n_sigma, f"z = {z:.2f}"))
+                clauses.append(_within(f"{spec} eps={eps:g} {key} residual",
+                                       rep.residual, rep.residual_sigma, n_sigma))
             comb = out["combination"]
-            zc = comb.mean / max(comb.sigma, 1e-300)
-            clauses.append(Clause(
-                f"{spec} eps={eps:g} combination residual within {n_sigma:g} sigma",
-                abs(zc) <= n_sigma, f"z = {zc:.2f}"))
+            clauses.append(_within(f"{spec} eps={eps:g} combination residual",
+                                   comb.mean, comb.sigma, n_sigma))
             gap = out["wlg_gap"]
-            zg = gap.mean / max(gap.sigma, 1e-300)
-            clauses.append(Clause(
-                f"{spec} eps={eps:g} deformation combo vs limit RHS within {n_sigma:g} sigma",
-                abs(zg) <= n_sigma, f"z = {zg:.2f}"))
+            clauses.append(_within(
+                f"{spec} eps={eps:g} deformation combo vs limit RHS",
+                gap.mean, gap.sigma, n_sigma))
             rows.append({"experiment": "converge-unified", "group": str(spec),
                          "epsilon": eps, "term": "combination",
                          "residual": comb.mean, "residual_sigma": comb.sigma})
@@ -509,12 +555,9 @@ def run_converge_unified(cfg):
 
 
 def run_sample_diagnostics(cfg):
-    from scipy import stats
-    epsilons = _parse_floats(cfg.get("grid", {}).get("epsilons", "0.5 1.0"))
-    n_sigma = _get(cfg, "tolerances", "n_sigma", 3.0)
-    t_rect = _get(cfg, "geometry", "t", 0.5)
-    schedule = _schedule_from(cfg, MCSchedule(sweeps=5000, burn_in=400,
-                                              thin=2, chains=16, seed=777))
+    epsilons = cfg["grid"]["epsilons"]
+    n_sigma = cfg["tolerances"]["n_sigma"]
+    schedule = MCSchedule(**cfg["mc"])
     rows, clauses = [], []
     plaq = plaquette_loop((0, 0))
 
@@ -525,30 +568,26 @@ def run_sample_diagnostics(cfg):
             a_std = char_coefficient(standard_label(fam), params)
             ests, samples, meta = estimate_wilson(params, [plaq], schedule, margin=1)
             est = ests[0]
-            z = (est.mean - a_std) / max(est.sigma, 1e-300)
             rows.append({"experiment": "sample-diagnostics", "group": str(fam),
                          "epsilon": eps, "term": "plaquette",
                          "value": est.mean, "sigma": est.sigma,
                          "target": a_std, "gap": abs(est.mean - a_std)})
-            clauses.append(Clause(
-                f"{fam} eps={eps:g} <W_p> = a_std within {n_sigma:g} sigma",
-                abs(z) <= n_sigma, f"z = {z:.2f}"))
+            clauses.append(_within(f"{fam} eps={eps:g} <W_p> = a_std",
+                                   est.mean - a_std, est.sigma, n_sigma))
 
     # master equation residual for an SU(2) rectangle
     eps = epsilons[0]
     su2 = GroupSpec("SU", 2)
-    loop, _ = make_rectangle(t_rect, eps)
+    loop, _ = make_rectangle(cfg["geometry"]["t"], eps)
     site = (0, 0)
     espec = EquationSpec(su2, eps, loop, site)
     terms, meta = assemble(espec)
     rep = evaluate_mc(terms, meta, ActionParams(su2, eps), schedule)
-    z = rep.residual / max(rep.residual_sigma, 1e-300)
     rows.append({"experiment": "sample-diagnostics", "group": "SU(2)",
                  "epsilon": eps, "term": "rectangle-equation",
                  "residual": rep.residual, "residual_sigma": rep.residual_sigma})
-    clauses.append(Clause(
-        f"SU(2) rectangle master equation within {n_sigma:g} sigma",
-        abs(z) <= n_sigma, f"z = {z:.2f}"))
+    clauses.append(_within("SU(2) rectangle master equation",
+                           rep.residual, rep.residual_sigma, n_sigma))
 
     # SO(3) figure-eight equation at the crossing bond
     so3 = GroupSpec("SO", 3)
@@ -556,13 +595,11 @@ def run_sample_diagnostics(cfg):
     espec = EquationSpec(so3, eps, geo.subject, geo.annotation.e_first[0])
     terms, meta = assemble(espec)
     rep = evaluate_mc(terms, meta, ActionParams(so3, eps), schedule)
-    z = rep.residual / max(rep.residual_sigma, 1e-300)
     rows.append({"experiment": "sample-diagnostics", "group": "SO(3)",
                  "epsilon": eps, "term": "figure-eight-equation",
                  "residual": rep.residual, "residual_sigma": rep.residual_sigma})
-    clauses.append(Clause(
-        f"SO(3) figure-eight master equation within {n_sigma:g} sigma",
-        abs(z) <= n_sigma, f"z = {z:.2f}"))
+    clauses.append(_within("SO(3) figure-eight master equation",
+                           rep.residual, rep.residual_sigma, n_sigma))
 
     clauses.extend(_gauge_bit_identity_clauses(eps))
     clauses.extend(_chain_statistics_clauses(eps, schedule))
@@ -688,11 +725,7 @@ def _volume_doubling_clauses(eps, schedule, n_sigma):
     vals = []
     for margin in (3, 6):
         ests, _, _ = estimate_wilson(params, [loop],
-                                     MCSchedule(sweeps=schedule.sweeps,
-                                                burn_in=schedule.burn_in,
-                                                thin=schedule.thin,
-                                                chains=schedule.chains,
-                                                seed=schedule.seed + margin),
+                                     replace(schedule, seed=schedule.seed + margin),
                                      margin=margin)
         vals.append(ests[0])
     diff = abs(vals[0].mean - vals[1].mean)
@@ -721,7 +754,7 @@ def run_experiment(config_path: str, out_dir: str | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
-    out_base = cfg.get("output", {}).get("path")
+    out_base = cfg["output"]["path"]
     if out_base is None:
         stem = os.path.splitext(os.path.basename(config_path))[0]
         out_base = os.path.join(out_dir or "reports", stem)

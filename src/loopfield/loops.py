@@ -410,12 +410,6 @@ def string_twist(s: LoopString, comp: int, e: Bond, x: int, y: int, positive: bo
     return s.replace(comp, t)
 
 
-def string_operation_lift(op, s: LoopString, comp: int, *args, **kwargs):
-    """Apply a unary loop operation to one component, keeping the others."""
-    out = op(s.loops[comp], *args, **kwargs)
-    return s.replace(comp, out)
-
-
 # ---------------------------------------------------------------------------
 # crossing annotations and compatible triples
 

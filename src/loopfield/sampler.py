@@ -18,7 +18,7 @@ autocorrelation time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -548,7 +548,7 @@ def make_estimate(samples: np.ndarray, n_blocks: int = 16) -> Estimate:
         sigma = sigma_naive
     tau = float(np.mean([integrated_autocorrelation(samples[:, c])
                          for c in range(n_chains)]))
-    return Estimate(mean, max(sigma, sigma_naive * 0.0), sigma_naive,
+    return Estimate(mean, sigma, sigma_naive,
                     int(samples.size), tau)
 
 

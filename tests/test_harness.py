@@ -1,12 +1,17 @@
 import os
+import runpy
+from collections.abc import Mapping
 
 import pytest
 
 from loopfield.harness import (load_config, ConfigError, run_experiment,
-                               emit_fixtures, EXIT_OK, EXIT_FAIL, EXIT_CONFIG)
+                               emit_fixtures, EXIT_OK, EXIT_FAIL, EXIT_CONFIG,
+                               EXPERIMENTS, SCHEMA)
 from loopfield.cli import main as cli_main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+WORKLOADS_PY = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                            "workloads.py")
 
 
 def _write(tmp_path, body, name="exp.cfg"):
@@ -106,6 +111,99 @@ def test_cli_entry_points(tmp_path):
     assert cli_main(["run", cfgp, "--out-dir", str(tmp_path)]) == 0
 
 
-def test_committed_configs_parse():
-    for name in os.listdir(CONFIG_DIR):
-        load_config(os.path.join(CONFIG_DIR, name))
+def test_committed_configs_parse(tmp_path):
+    """The committed configs and every config the benchmark generates."""
+    paths = [os.path.join(CONFIG_DIR, name) for name in os.listdir(CONFIG_DIR)]
+    assert len(paths) == 9
+    # run_path compiles the source without writing bytecode next to it
+    workloads = runpy.run_path(WORKLOADS_PY)
+    for workload in workloads["WORKLOADS"]:
+        for seed in range(1, 11):
+            for stem, text in workloads["configs"](workload, seed):
+                path = tmp_path / f"{workload}-{seed}-{stem}.cfg"
+                path.write_text(text)
+                paths.append(str(path))
+    for path in paths:
+        load_config(path)
+
+
+_OTHERS = sorted(set(SCHEMA) - {"verify-discrete"})
+
+
+@pytest.mark.parametrize("name,body", [
+    # malformed or out-of-range values
+    ("verify-discrete", "[overrides]\nbase = banana\n"),
+    ("converge-unified", "[mc]\nsweeps = 1.5\n"),
+    ("sample-diagnostics", "[mc]\nsweeps = 2\nthin = 3\n"),
+    ("degenerate", "[grid]\nepsilon = -1\n"),
+    ("converge-simple", "[grid]\nepsilons = nan\n"),
+    ("converge-merger", "[grid]\nepsilons = 0.25 inf\n"),
+    ("converge-simple", "[grid]\nepsilons = 0.25\n"),
+    ("gauss-lemma", "[grid]\nepsilons_j1 = 0.4 0.4\n"),
+    ("verify-discrete", "[random]\ncount = abc\n"),
+    ("verify-discrete", "[random]\ncount = 0\n"),
+    ("converge-crossing", "[tolerances]\nidentity = x\n"),
+    ("converge-simple", "[groups]\nlist = SU9\n"),
+    ("converge-unified", "[groups]\nlist = SU1\n"),
+    ("converge-crossing", "[triples]\nmax_triples = 0\n"),
+    ("converge-simple", "[geometry]\nt = -1\n"),
+    ("converge-merger", "[geometry]\nside = 0\n"),
+    ("converge-merger", "[geometry]\nside = 0.5\noverlap = 0.75\n"),
+    ("converge-crossing", "[combos]\nb = 0.5 0.5\na = 1 2\n"),
+    ("converge-crossing", "[combos]\nb = 0.5 0.6\na = 0.2 0.2 0.2 0.2 0.2\n"),
+    # keys that would be accepted and then ignored
+    ("degenerate", "[output]\nformats = csv\n"),
+    ("converge-crossing", "[geometry]\nfamily = coil\n"),
+    ("degenerate", "[tolerances]\nslope_lo = 3\n"),
+    ("verify-discrete", "[overrides]\ntwist-neg = 2\n"),
+    ("converge-crossing", "[combos]\nb = 0.7 0.3\n"),
+    ("converge-crossing", "[combos]\nb = 0.7 0.3\na = 0.2 0.2 0.2 0.2 0.2\n"
+                          "b2 = 0.7 0.3\n"),
+] + [(name, "[overrides]\nbase = 1.0\n") for name in _OTHERS])
+def test_bad_config_exits_2(tmp_path, name, body):
+    path = _write(tmp_path, f"[experiment]\nname = {name}\n" + body)
+    assert run_experiment(path, out_dir=str(tmp_path)) == EXIT_CONFIG
+    assert not list(tmp_path.glob("*.csv"))
+
+
+class _Reads(Mapping):
+    """A config section that records the keys read from it."""
+
+    def __init__(self, section, values, seen):
+        self.section, self.values, self.seen = section, values, seen
+
+    def __getitem__(self, key):
+        self.seen.add((self.section, key))
+        return self.values[key]
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self):
+        return len(self.values)
+
+
+_MC_SMALL = "[mc]\nsweeps = 4\nburn_in = 2\nthin = 2\nchains = 2\n"
+_SMALL = {
+    # seed 3 draws random loops whose equations have split-neg terms
+    "verify-discrete": "[grid]\nepsilons = 0.25\n[random]\nseed = 3\n",
+    "converge-simple": "[grid]\nepsilons = 0.25 0.125\n[groups]\nlist = U1\n",
+    "converge-crossing": "[grid]\nepsilons = 0.25 0.125\n[triples]\nmax_triples = 1\n"
+                         "[combos]\nb = 0.7 0.3\na = 0.2 0.2 0.1 0.3 0.2\n"
+                         "b2 = 1.5 -0.5\na2 = 0.4 0.1 0.2 0.1 0.2\n",
+    "converge-merger": "[grid]\nepsilons = 0.25 0.125\n",
+    "converge-unified": "[groups]\nlist = SU2\n" + _MC_SMALL,
+    "gauss-lemma": "[grid]\nepsilons = 0.4 0.28\nepsilons_j1 = 0.4 0.2\n",
+    "degenerate": "",
+    "sample-diagnostics": "[grid]\nepsilons = 1.0\n" + _MC_SMALL,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA))
+def test_every_schema_key_is_read(tmp_path, name):
+    _, cfg = load_config(_write(tmp_path, f"[experiment]\nname = {name}\n"
+                                          + _SMALL[name]))
+    seen = set()
+    EXPERIMENTS[name]({s: _Reads(s, v, seen) for s, v in cfg.items()})
+    # run_experiment itself reads [output] path
+    assert seen == set(SCHEMA[name]) - {("output", "path")}
