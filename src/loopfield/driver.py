@@ -9,9 +9,10 @@ winding number of the loop around each face enters:
     E W  =  prod_F a_{n_F}(eps)^{t_F / eps^2}      (lattice)
     E W  =  prod_F exp(-n_F^2 t_F / 2)             (continuum)
 
-Faces are computed by flood fill over unit cells; winding numbers by exact
-rational ray casting in the direction (1, 5/8), which cannot meet a lattice
-vertex leaving from a cell center.
+Faces are computed by flood fill over unit cells.  Winding numbers form one
+integer field over the cells: the winding around the cell (i, j) is the
+signed count of the horizontal bonds in column i at heights y <= j (+1 for
+a bond going right, -1 for one going left), a running sum up each column.
 
 The module also provides the closed-form simple-loop expectations for all
 supported groups, analytic and finite-difference area derivatives, the
@@ -25,18 +26,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from loopfield.groups import GroupSpec
 from loopfield.action import (ActionParams, char_coefficient, standard_label,
                               heat_kernel_eval, heat_kernel_theta_derivative_u1)
-from loopfield.loops import (Loop, LoopString, as_string, bond_start,
-                             bond_end, CrossingAnnotation, make_loop,
-                             _canonical_rotation)
-
-RAY = (Fraction(1), Fraction(5, 8))  # never parallel to bonds, never hits vertices
+from loopfield.loops import (Loop, LoopString, as_string, CrossingAnnotation,
+                             make_loop, _canonical_rotation)
 
 
 class DriverError(ValueError):
@@ -119,29 +117,21 @@ def _occupied_edges(obj):
     return {_edge_key(b) for b in _all_bonds(obj)}
 
 
-def winding_number(obj, point) -> int:
-    """Signed crossings of the ray point + t * (1, 5/8) with the loop/string."""
-    px, py = Fraction(point[0]), Fraction(point[1])
-    sx, sy = RAY
-    total = 0
-    for (x, y, d) in _all_bonds(obj):
-        if d in (1, 3):  # vertical bond at x, spanning [ylo, ylo + 1]
-            ylo = y if d == 1 else y - 1
-            t = (Fraction(x) - px) / sx
-            if t <= 0:
-                continue
-            ystar = py + sy * t
-            if ylo < ystar < ylo + 1:
-                total += 1 if d == 1 else -1
-        else:  # horizontal bond at y, spanning [xlo, xlo + 1]
-            xlo = x if d == 0 else x - 1
-            t = (Fraction(y) - py) / sy
-            if t <= 0:
-                continue
-            xstar = px + sx * t
-            if xlo < xstar < xlo + 1:
-                total += -1 if d == 0 else 1
-    return total
+def winding_number(obj):
+    """The winding-number field of a loop or string over its bounding box.
+
+    Returns ((x0, y0), w) with w[i - x0, j - y0] the winding number around
+    the unit cell (i, j): the signed count of the horizontal bonds in column
+    i at heights y <= j, +1 going right and -1 going left.  The box keeps a
+    margin of one cell on every side, so its border cells are unbounded.
+    """
+    x, y, d = np.array(list(_all_bonds(obj)), dtype=np.int64).reshape(-1, 3).T
+    x0, y0 = x.min() - 1, y.min() - 1  # closed loops: every vertex starts a bond
+    w = np.zeros((x.max() + 1 - x0, y.max() + 1 - y0), dtype=np.int64)
+    right, left = d == 0, d == 2
+    np.add.at(w, (x[right] - x0, y[right] - y0), 1)
+    np.add.at(w, (x[left] - 1 - x0, y[left] - y0), -1)
+    return (int(x0), int(y0)), np.cumsum(w, axis=1)
 
 
 def build_graph(obj) -> PlanarLoopGraph:
@@ -151,14 +141,8 @@ def build_graph(obj) -> PlanarLoopGraph:
     if not loops:
         return PlanarLoopGraph(obj, [], {}, 0, 0, 0)
     occ = _occupied_edges(string)
-    verts = set()
-    for b in _all_bonds(string):
-        verts.add(bond_start(b))
-        verts.add(bond_end(b))
-    xs = [v[0] for v in verts]
-    ys = [v[1] for v in verts]
-    x0, x1 = min(xs) - 1, max(xs) + 1
-    y0, y1 = min(ys) - 1, max(ys) + 1
+    (x0, y0), wind = winding_number(string)
+    x1, y1 = x0 + wind.shape[0], y0 + wind.shape[1]
 
     def blocked(cell, ncell):
         (i, j), (k, l) = cell, ncell
@@ -171,8 +155,8 @@ def build_graph(obj) -> PlanarLoopGraph:
         return ((i, j), "H") in occ
 
     unassigned = {(i, j) for i in range(x0, x1) for j in range(y0, y1)}
-    components = []
-    outer_ids = set()
+    faces = []
+    cell_to_face = {}
     while unassigned:
         seed = unassigned.pop()
         comp = {seed}
@@ -187,17 +171,8 @@ def build_graph(obj) -> PlanarLoopGraph:
                     unassigned.discard(ncell)
                     comp.add(ncell)
                     stack.append(ncell)
+        n = int(wind[seed[0] - x0, seed[1] - y0])
         if touches_border:
-            outer_ids.add(len(components))
-        components.append(comp)
-
-    faces = []
-    cell_to_face = {}
-    for idx, comp in enumerate(components):
-        rep = min(comp)
-        n = winding_number(string, (Fraction(2 * rep[0] + 1, 2),
-                                    Fraction(2 * rep[1] + 1, 2)))
-        if idx in outer_ids:
             if n != 0:
                 raise DriverError("unbounded face with nonzero winding")
             continue
@@ -382,8 +357,7 @@ class CrossingGeometry:
     wedge_cells maps m in {1..4} to a representative unit cell of the face
     F_m adjacent to the crossing, or None when that wedge belongs to the
     unbounded face.  limit_faces lists (t, winding) of the bounded faces of
-    the continuum design (fixed along an epsilon sweep, matching the graph
-    faces by winding and decreasing area).
+    the continuum design.
     """
 
     kind: str
@@ -394,39 +368,16 @@ class CrossingGeometry:
     limit_faces: list
     extra: dict = field(default_factory=dict)
 
+    @cached_property
     def graph(self) -> PlanarLoopGraph:
         return build_graph(self.subject)
 
-    def wedge_face_indices(self, graph: PlanarLoopGraph | None = None) -> dict:
-        g = graph if graph is not None else self.graph()
-        out = {}
-        for m, cell in self.wedge_cells.items():
-            out[m] = None if cell is None else g.face_of_cell(cell)
-        return out
+    def wedge_face_indices(self) -> dict:
+        return {m: None if cell is None else self.graph.face_of_cell(cell)
+                for m, cell in self.wedge_cells.items()}
 
-    def lattice_faces(self, graph: PlanarLoopGraph | None = None):
-        g = graph if graph is not None else self.graph()
-        return [(f.plaquettes * self.epsilon**2, f.winding) for f in g.faces]
-
-    def matched_limit_faces(self, graph: PlanarLoopGraph | None = None):
-        """limit_faces reordered to match the graph's face list."""
-        g = graph if graph is not None else self.graph()
-        remaining = list(self.limit_faces)
-        out = []
-        for f in g.faces:
-            t_eps = f.plaquettes * self.epsilon**2
-            best = min(
-                (cand for cand in remaining if cand[1] == f.winding),
-                key=lambda cand: abs(cand[0] - t_eps),
-                default=None,
-            )
-            if best is None:
-                raise DriverError("no continuum face matches a lattice face")
-            remaining.remove(best)
-            out.append(best)
-        if remaining:
-            raise DriverError("unmatched continuum faces remain")
-        return out
+    def lattice_faces(self):
+        return [(f.plaquettes * self.epsilon**2, f.winding) for f in self.graph.faces]
 
 
 def _annotated_loops(*components):
@@ -483,7 +434,12 @@ def _near_square_dims(count: int):
 
 
 def _lobe_dims(t: float, epsilon: float, min_count: int = 2):
-    """Even plaquette count near t/eps^2 and a rectangle with height >= 2."""
+    """Even plaquette count near t/eps^2 and a rectangle with height >= 2.
+
+    The count is clamped to at least min_count plaquettes, so an area below
+    about min_count * eps^2 silently gets the larger lobe (2 plaquettes at
+    t = 1, eps = 1); the realized area is count * eps^2.
+    """
     count = max(min_count, 2 * int(round(t / (2.0 * epsilon**2))))
     h, w = _near_square_dims(count)
     if h < 2:
@@ -493,7 +449,12 @@ def _lobe_dims(t: float, epsilon: float, min_count: int = 2):
 
 
 def make_rectangle(t: float, epsilon: float):
-    """Simple rectangular loop of area ~ t, counterclockwise (winding +1)."""
+    """Simple rectangular loop of area ~ t, counterclockwise (winding +1).
+
+    Returns the loop and its realized area count * eps^2, with the count
+    t/eps^2 rounded and clamped to at least one plaquette: make_rectangle(0.5,
+    1.0) is the unit plaquette, of area 1.
+    """
     count = max(1, int(round(t / epsilon**2)))
     h, w = _near_square_dims(count)
     word, _ = _path((0, 0), "R" * w + "U" * h + "L" * w + "D" * h)
@@ -661,6 +622,8 @@ def make_crossing_squares(side: float, overlap: float, epsilon: float) -> Crossi
     edge by a jog and a bump), l2 = e4^-1 e e2 B (the square [k-s, k]^2,
     whose east side runs straight through the crossing edge).  Wedge faces:
     F1 = sq1 only, F2 = overlap (winding 2), F3 = sq2 only, F4 unbounded.
+    The overlap side is clamped to at least 3 bonds and the full side to at
+    least the overlap side plus 3, so very small squares run on that shape.
     """
     k = max(3, int(round(overlap / epsilon)))      # overlap square side
     s = max(k + 3, int(round(side / epsilon)))     # full square side

@@ -252,12 +252,10 @@ def deformation_value(subject, site, backend: U1Backend) -> float:
     return tot / (2.0 * backend.epsilon**2)
 
 
-def alternating_area_derivative(geometry: CrossingGeometry, graph=None,
-                                faces=None, wedges=None) -> float:
+def alternating_area_derivative(geometry: CrossingGeometry) -> float:
     """(d1 - d2 + d3 - d4) E W from the geometry's own continuum data."""
-    g = graph if graph is not None else geometry.graph()
-    faces = faces if faces is not None else geometry.lattice_faces(g)
-    wedges = wedges if wedges is not None else geometry.wedge_face_indices(g)
+    faces = geometry.lattice_faces()
+    wedges = geometry.wedge_face_indices()
     total = 0.0
     for m, sign in ((1, 1.0), (2, -1.0), (3, 1.0), (4, -1.0)):
         if wedges[m] is not None:
@@ -287,7 +285,7 @@ def combination_value(geometry: CrossingGeometry, backend: U1Backend,
         raise EquationError("combination coefficients must each sum to 1")
     if dvals is None:
         _, dvals = crossing_deformation_data(geometry, backend)
-    ew = backend.expectation(geometry.subject)
+    ew = backend.expectation_of_graph(geometry.graph)
     return (b[0] * dvals["e"] + b[1] * dvals["e_"] - a[0] * ew
             - a[1] * dvals["e1"] - a[2] * dvals["e2"]
             - a[3] * dvals["e3"] - a[4] * dvals["e4"])
@@ -358,17 +356,14 @@ def convergence_crossing(eps_list, t2: float = 0.5, t4: float = 0.5,
     for eps in eps_list:
         geometry = make_figure_eight(t2, t4, eps)
         backend = U1Backend(eps)
-        graph = geometry.graph()
-        faces = geometry.lattice_faces(graph)
-        wedges = geometry.wedge_face_indices(graph)
-        target = alternating_area_derivative(geometry, graph, faces, wedges)
-        ew = backend.expectation(geometry.subject)
+        target = alternating_area_derivative(geometry)
+        ew = backend.expectation_of_graph(geometry.graph)
         sites, dvals = crossing_deformation_data(geometry, backend)
 
         triples = compatible_triples(geometry.annotation)
         if max_triples is not None:
             triples = triples[:max_triples]
-        dcache = {}
+        dcache = {site: dvals[k] for k, site in sites.items()}
 
         def dval(site):
             if site not in dcache:
@@ -430,9 +425,8 @@ def crossing_im_sweep(eps_list, family: str = "coil", t4: float = 0.5,
     for eps in eps_list:
         geometry = _crossing_family(family, eps, t2, t4)
         backend = U1Backend(eps)
-        graph = geometry.graph()
-        faces = geometry.lattice_faces(graph)
-        wedges = geometry.wedge_face_indices(graph)
+        faces = geometry.lattice_faces()
+        wedges = geometry.wedge_face_indices()
         ew = continuum_product(faces)
         ims = {m: correction_term_im(faces, m, wedges[m]) for m in (1, 2, 3, 4)}
         d_m = {m: (area_derivative(faces, wedges[m], "analytic")
@@ -466,10 +460,7 @@ def convergence_merger(eps_list, side: float = 1.5, overlap: float = 0.75):
     for eps in eps_list:
         geometry = make_crossing_squares(side, overlap, eps)
         backend = U1Backend(eps)
-        graph = geometry.graph()
-        faces = geometry.lattice_faces(graph)
-        wedges = geometry.wedge_face_indices(graph)
-        target = alternating_area_derivative(geometry, graph, faces, wedges)
+        target = alternating_area_derivative(geometry)
         sites, dvals = crossing_deformation_data(geometry, backend)
         comb = dvals["e"] - 0.5 * dvals["e1"] - 0.5 * dvals["e3"]
         comb2 = combination_value(geometry, backend,
@@ -500,9 +491,8 @@ def degenerate_checks(epsilon: float = 0.25, tol_quad: float = 1e-11):
     out = {}
     for kind in ("limacon", "coil"):
         geometry = _crossing_family(kind, epsilon, 0.5, 0.5)
-        graph = geometry.graph()
-        faces = geometry.lattice_faces(graph)
-        wedges = geometry.wedge_face_indices(graph)
+        faces = geometry.lattice_faces()
+        wedges = geometry.wedge_face_indices()
         ew = continuum_product(faces)
         split_cont = ew  # U(1): W factorizes over the two sub-loops
         assert wedges[1] is not None and wedges[1] == wedges[3], \
@@ -513,7 +503,7 @@ def degenerate_checks(epsilon: float = 0.25, tol_quad: float = 1e-11):
         d4 = (area_derivative(faces, wedges[4], "analytic")
               if wedges[4] is not None else 0.0)
         lhs = 2.0 * d_s - d2 - d4
-        alt = alternating_area_derivative(geometry, graph, faces, wedges)
+        alt = alternating_area_derivative(geometry)
         # p_s = p_{t1} * p_{t3}: splitting the s-face leaves the product fixed
         t_s, n_s = faces[wedges[1]]
         split_faces = list(faces)

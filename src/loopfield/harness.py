@@ -795,7 +795,7 @@ def emit_fixtures(kind: str, out_dir: str = "fixtures") -> list:
         geo = make_figure_eight(0.5, 0.5, 0.25)
         path = os.path.join(out_dir, "figure_eight_graph.json")
         with open(path, "w") as fh:
-            fh.write(geo.graph().dump() + "\n")
+            fh.write(geo.graph.dump() + "\n")
         written.append(path)
     if kind in ("char-tables", "all"):
         params = ActionParams(GroupSpec("U", 1), 0.5)

@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopfield.groups import GroupSpec
 from loopfield.loops import (make_loop, make_loop_from_moves, plaquette_loop,
-                             LoopString, bond_inverse, occurrences)
+                             LoopString, as_string, bond_inverse, occurrences,
+                             random_loop)
 from loopfield.driver import (build_graph, winding_number, U1Backend,
                               u1_expectation_discrete, u1_expectation_continuum,
                               u1_bruteforce_expectation, simple_loop_expectation,
@@ -35,9 +38,9 @@ def test_doubled_loop_windings_double():
 
 def test_figure_eight_windings_and_wedges():
     geo = make_figure_eight(0.5, 0.5, 0.25)
-    g = geo.graph()
+    g = geo.graph
     assert sorted(f.winding for f in g.faces) == [-1, 1]
-    wedges = geo.wedge_face_indices(g)
+    wedges = geo.wedge_face_indices()
     assert wedges[1] is None and wedges[3] is None  # unbounded north/south
     assert g.faces[wedges[2]].winding == 1          # west lobe
     assert g.faces[wedges[4]].winding == -1         # east lobe
@@ -45,18 +48,55 @@ def test_figure_eight_windings_and_wedges():
     assert geo.extra["t4_eps"] == pytest.approx(0.5)
 
 
-def test_winding_number_ray_cast():
+def _reversed(loop):
+    return make_loop([bond_inverse(b) for b in reversed(loop.word)])
+
+
+def test_winding_number_field():
     loop = make_loop_from_moves((0, 0), "RRUULLDD")
-    assert winding_number(loop, (0.5, 0.5)) == 1
-    assert winding_number(loop, (2.5, 0.5)) == 0
-    rev = make_loop([bond_inverse(b) for b in reversed(loop.word)])
-    assert winding_number(rev, (0.5, 0.5)) == -1
+    (x0, y0), w = winding_number(loop)
+    assert (x0, y0) == (-1, -1) and w.shape == (4, 4)
+    assert w[0 - x0, 0 - y0] == 1
+    assert w[2 - x0, 0 - y0] == 0
+    (x0, y0), w = winding_number(_reversed(loop))
+    assert w[0 - x0, 0 - y0] == -1
+
+
+def _face_windings(subject):
+    return {f.cells: f.winding for f in build_graph(subject).faces}
+
+
+def _shoelace_area(subject):
+    """Signed enclosed area from the vertical bonds alone: +x up, -x down."""
+    return sum(x if d == 1 else -x for loop in as_string(subject)
+               for x, _, d in loop.word if d in (1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 4),
+       st.none() | st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+def test_winding_field_properties(seed, hx, hy, offset):
+    # a random loop, or a string of two random loops the second translated
+    rng = np.random.default_rng(seed)
+    loops = [random_loop(rng, hx, hy)]
+    if offset is not None:
+        dx, dy = offset
+        loops.append(make_loop([(x + dx, y + dy, d)
+                                for x, y, d in random_loop(rng, hx, hy).word]))
+    subject = loops[0] if len(loops) == 1 else LoopString(loops)
+    windings = _face_windings(subject)
+    assert sum(n * len(cells) for cells, n in windings.items()) == \
+        _shoelace_area(subject)
+    assert _face_windings(LoopString(map(_reversed, loops))) == \
+        {cells: -n for cells, n in windings.items()}
+    assert _face_windings(LoopString(make_loop(l.word * 2) for l in loops)) == \
+        {cells: 2 * n for cells, n in windings.items()}
 
 
 def test_euler_relation_all_families():
     for geo in (make_figure_eight(0.5, 0.5, 0.25), make_coil(0.5, 0.25),
                 make_limacon(0.5, 0.5, 0.25)):
-        g = geo.graph()
+        g = geo.graph
         assert g.euler_characteristic() == 2
         assert g.component_count == 1
 
@@ -139,9 +179,8 @@ def test_figure_eight_continuum_value():
 ], ids=lambda v: str(v))
 def test_correction_terms_fourier_vs_bruteforce(family, kwargs):
     geo = make_lattice_approximation(family, 0.25, **kwargs)
-    g = geo.graph()
-    faces = geo.lattice_faces(g)
-    wedges = geo.wedge_face_indices(g)
+    faces = geo.lattice_faces()
+    wedges = geo.wedge_face_indices()
     for m in (1, 2, 3, 4):
         a = correction_term_im(faces, m, wedges[m])
         b = correction_term_im_bruteforce(faces, m, wedges[m], grid=40)
@@ -154,7 +193,7 @@ def test_lattice_approximation_contract():
         geo = make_figure_eight(0.5, 0.5, eps)
         assert len(geo.annotation.e_first) == 2
         assert len(geo.annotation.e_second) == 2
-        g = geo.graph()
+        g = geo.graph
         for (t_limit, n) in geo.limit_faces:
             match = [f for f in g.faces if f.winding == n]
             assert match
@@ -162,7 +201,7 @@ def test_lattice_approximation_contract():
             assert abs(t_eps - t_limit) <= 2 * eps
         # i_eps(boundary) consistency: the designated edge bonds lie on the
         # boundary of the faces they were assigned to
-        wedges = geo.wedge_face_indices(g)
+        wedges = geo.wedge_face_indices()
         comp, loc = geo.annotation.e1[0]
         bond = geo.subject.word[loc]
         from loopfield.driver import _edge_key
@@ -172,10 +211,10 @@ def test_lattice_approximation_contract():
 
 def test_crossing_squares_structure():
     geo = make_crossing_squares(1.5, 0.75, 0.25)
-    g = geo.graph()
+    g = geo.graph
     windings = sorted(f.winding for f in g.faces)
     assert windings == [1, 1, 2]
-    wedges = geo.wedge_face_indices(g)
+    wedges = geo.wedge_face_indices()
     assert wedges[4] is None  # the southeast wedge is unbounded
     assert g.faces[wedges[2]].winding == 2
     s = geo.subject
@@ -201,7 +240,7 @@ def test_string_expectation_multiplicativity():
 def test_graph_dump_round_trip():
     import json
     geo = make_figure_eight(0.5, 0.5, 0.5)
-    payload = json.loads(geo.graph().dump())
+    payload = json.loads(geo.graph.dump())
     assert set(payload) == {"faces", "areas", "windings", "boundaries"}
     assert sorted(payload["windings"]) == [-1, 1]
-    assert payload["areas"] == [f.plaquettes for f in geo.graph().faces]
+    assert payload["areas"] == [f.plaquettes for f in geo.graph.faces]
