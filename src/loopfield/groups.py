@@ -1,7 +1,11 @@
 """Compact matrix group backends: U(N), SU(N), SO(N).
 
-Provides Haar sampling, orthonormal Lie-algebra frames, directional
-derivatives and Casimir data.  The Lie-algebra inner product is
+Provides Haar sampling, orthonormal Lie-algebra frames, the exponential
+map, polar projection, directional derivatives and Casimir data.  This
+module is the one home of the group-element operations: `haar_sample`,
+`exp_map`, `exp_coords`, `project_to_group` and `inverse` act on stacks of
+matrices, arrays of shape (..., N, N), and give each element of a stack the
+same bits as a call on that element alone.  The Lie-algebra inner product is
 <X, Y> = (beta_g * N / 2) * Tr(X^* Y), which for the unitary families
 (beta_g = 2) reduces to N * Tr(X Y^*).  All frames built here are
 orthonormal with respect to that inner product.
@@ -9,6 +13,7 @@ orthonormal with respect to that inner product.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +90,7 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes: the inverse of each group element."""
     return np.conj(a).swapaxes(-1, -2)
 
 
@@ -110,19 +116,25 @@ def is_in_group(q: np.ndarray, spec: GroupSpec, tol: float = GROUP_TOL) -> bool:
     return True
 
 
+def _to_special(q: np.ndarray, spec: GroupSpec) -> np.ndarray:
+    """Move a stack of U(N) or O(N) elements into SU(N) or SO(N).
+
+    SU(N): scale by det^(-1/N).  SO(N): negate column 0 of q where det < 0.
+    """
+    if spec.family == "U":
+        return q
+    det = np.linalg.det(q)
+    if spec.is_real:
+        flip = (det < 0)[..., None]
+        q[..., :, 0] = np.where(flip, -q[..., :, 0], q[..., :, 0])
+        return q
+    return q * (det.astype(complex) ** (-1.0 / spec.n))[..., None, None]
+
+
 def project_to_group(q: np.ndarray, spec: GroupSpec) -> np.ndarray:
-    """Polar projection back onto the group; used to control drift in long chains."""
+    """Polar projection of a stack back onto the group; controls drift in long chains."""
     u, _, vh = np.linalg.svd(q)
-    out = u @ vh
-    if spec.family in ("SU", "SO"):
-        det = np.linalg.det(out)
-        if spec.is_real:
-            if det < 0:  # flip one column to land in SO(N)
-                out = out.copy()
-                out[..., :, 0] *= -1.0
-        else:
-            out = out * det ** (-1.0 / spec.n)
-    return out
+    return _to_special(u @ vh, spec)
 
 
 def inner_product(spec: GroupSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -130,11 +142,13 @@ def inner_product(spec: GroupSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float(val.real)
 
 
+@functools.cache
 def lie_basis(spec: GroupSpec) -> np.ndarray:
     """Orthonormal basis of the Lie algebra, shape (dim_lie, N, N).
 
     Generalized Gell-Mann construction, each element scaled to unit norm
-    under the group's inner product.
+    under the group's inner product.  Built once per group and returned
+    read-only, since every caller shares the one array.
     """
     n = spec.n
     mats = []
@@ -173,62 +187,60 @@ def lie_basis(spec: GroupSpec) -> np.ndarray:
         out.append(m / norm)
     basis = np.array(out)
     assert basis.shape[0] == spec.dim_lie
+    basis.flags.writeable = False
     return basis
 
 
 def lie_vector_matrix(spec: GroupSpec, coords: np.ndarray) -> np.ndarray:
-    """Reconstruct A = sum_j coords_j L_j."""
+    """Reconstruct A = sum_j coords_j L_j; coords shape (..., dim_lie)."""
     basis = lie_basis(spec)
-    return np.tensordot(np.asarray(coords, dtype=float), basis, axes=(0, 0))
+    return np.tensordot(np.asarray(coords, dtype=float), basis, axes=(-1, 0))
 
 
 def exp_map(spec: GroupSpec, a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a Lie-algebra element (matrix form)."""
+    """Matrix exponential of Lie-algebra elements, a stack of shape (..., N, N).
+
+    Closed forms for SU(2) (a = i v.sigma) and SO(3) (Rodrigues); the
+    clamp on theta^2 keeps sin(theta)/theta finite at a = 0.
+    """
     a = np.asarray(a)
-    n = spec.n
-    if n == 1:
+    if spec.n == 1:
         return np.exp(a)
-    if spec.family == "SU" and n == 2:
-        # a = i (v . sigma), closed form
-        theta = np.sqrt(max(0.0, 0.5 * float(np.trace(a @ np.conj(a).T).real)))
-        if theta < 1e-30:
-            return np.eye(2, dtype=complex) + a
-        return np.cos(theta) * np.eye(2, dtype=complex) + (np.sin(theta) / theta) * a
-    if spec.family == "SO" and n == 3:
-        # Rodrigues formula
-        theta = np.sqrt(0.5 * float(np.sum(a * a)))
-        if theta < 1e-30:
-            return np.eye(3) + a
-        return (
-            np.eye(3)
-            + (np.sin(theta) / theta) * a
-            + ((1.0 - np.cos(theta)) / theta**2) * (a @ a)
-        )
+    if spec == GroupSpec("SU", 2):
+        sq = np.einsum("...ij,...ij->...", a, np.conj(a)).real
+        th = np.sqrt(np.maximum(0.5 * sq, 1e-300))[..., None, None]
+        return np.cos(th) * np.eye(2) + np.sin(th) / th * a
+    if spec == GroupSpec("SO", 3):
+        sq = np.einsum("...ij,...ij->...", a, a)
+        th = np.sqrt(np.maximum(0.5 * sq, 1e-300))[..., None, None]
+        return np.eye(3) + np.sin(th) / th * a + (1.0 - np.cos(th)) / th**2 * (a @ a)
     return scipy.linalg.expm(a)
 
 
 def exp_coords(spec: GroupSpec, coords: np.ndarray) -> np.ndarray:
+    """exp(sum_j coords_j L_j); coords shape (..., dim_lie)."""
     return exp_map(spec, lie_vector_matrix(spec, coords))
 
 
-def haar_sample(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed group element."""
+def haar_sample(spec: GroupSpec, rng: np.random.Generator, size=()) -> np.ndarray:
+    """Haar-distributed group elements, shape size + (N, N).
+
+    QR of a Gaussian matrix, with the phases of R's diagonal moved into Q
+    (Mezzadri 2007, Notices AMS 54, 592).  Each element draws its real and
+    then its imaginary normals, so a stack holds the same draws, and leaves
+    `rng` in the same state, as the same number of single calls.
+    """
     n = spec.n
-    if spec.family == "SO":
-        z = rng.standard_normal((n, n))
-        q, r = np.linalg.qr(z)
-        q = q * np.sign(np.diag(r))
-        if np.linalg.det(q) < 0:
-            q = q.copy()
-            q[:, 0] *= -1.0
-        return q
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    size = (size,) if np.isscalar(size) else tuple(size)
+    if spec.is_real:
+        z = rng.standard_normal(size + (n, n))
+    else:
+        re_im = rng.standard_normal(size + (2, n, n))
+        z = (re_im[..., 0, :, :] + 1j * re_im[..., 1, :, :]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))
-    if spec.family == "SU":
-        q = q * np.linalg.det(q) ** (-1.0 / n)
-    return q
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    phases = np.sign(d) if spec.is_real else d / np.abs(d)
+    return _to_special(q * phases[..., None, :], spec)
 
 
 def gaussian_lie_sample(spec: GroupSpec, rng: np.random.Generator, sigma: float = 1.0) -> np.ndarray:

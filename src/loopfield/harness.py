@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from loopfield.groups import GroupSpec, parse_group
+from loopfield.groups import GroupSpec, haar_sample, parse_group
 from loopfield.action import (ActionParams, char_coefficient, build_char_table,
                               gaussian_lemma_check, lemma_j1_check,
                               partition_function, QuadratureError, TailBudgetError,
@@ -642,9 +642,7 @@ def _gauge_bit_identity_clauses(eps):
         if fam == GroupSpec("U", 1):
             g_any = rng.uniform(-np.pi, np.pi, (5, 5))
         else:
-            from loopfield.groups import haar_sample
-            g_any = np.stack([haar_sample(fam, rng) for _ in range(25)]
-                             ).reshape(5, 5, 2, 2)
+            g_any = haar_sample(fam, rng, (5, 5))
         after2 = obs.measure(gauge_transform(cfg_, g_any))
         clauses.append(Clause(f"{fam} gauge invariance to 1e-12 (generic gauge)",
                               bool(np.max(np.abs(after2 - before)) < 1e-12),
@@ -706,10 +704,8 @@ def _chain_statistics_clauses(eps, schedule):
                           p_db > 0.01, f"p = {p_db:.3f}"))
 
     # Haar sampling: U(1) angles of haar_sample draws are uniform (KS at 1%)
-    from loopfield.groups import haar_sample
     rng2 = np.random.default_rng(schedule.seed + 2)
-    haar_angles = np.array([np.angle(haar_sample(GroupSpec("U", 1), rng2)[0, 0])
-                            for _ in range(10_000)])
+    haar_angles = np.angle(haar_sample(GroupSpec("U", 1), rng2, 10_000)[:, 0, 0])
     p_ks = float(stats.kstest((haar_angles + np.pi) / (2 * np.pi),
                               "uniform").pvalue)
     clauses.append(Clause("U(1) Haar angle uniform (KS at 1%)",

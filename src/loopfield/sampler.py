@@ -5,10 +5,14 @@ plaquettes (free boundary); the weight is
 
     exp( - (beta_g N / 2 eps^2) * sum_p Re Tr(I - Q_p) ).
 
-U(1) has an exact heat-bath (von Mises conditional); all groups have a
-vectorized Metropolis sweep over four independent sublattices (orientation
-x bond-row parity), with proposals Q -> exp(dA) Q.  Chains are carried as
-a leading batch axis; per-chain seeds derive from a master seed.
+U(1) chains use the exact heat bath (von Mises conditional); the matrix
+groups use a vectorized Metropolis sweep over four independent sublattices
+(orientation x bond-row parity), with proposals Q -> exp(dA) Q whose width
+starts at PROPOSAL_SCALE and is tuned toward 50% acceptance during burn-in.
+Chains are carried as a leading batch axis; one master seed drives them all.
+The group operations (Haar draws for the hot start, the exponential map,
+the adjoint and the polar projection in `reunitarize`) are the batched ones
+in `loopfield.groups`, applied to whole link arrays at once.
 
 Wilson loops and strings are measured on a thinned schedule after burn-in;
 estimates carry naive and blocked standard errors plus an integrated
@@ -22,9 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from loopfield.groups import GroupSpec
+from loopfield.groups import GroupSpec, exp_coords, haar_sample, inverse, project_to_group
 from loopfield.action import ActionParams, action_exponent_scale
 from loopfield.loops import as_string, bond_start, bond_end
+
+
+PROPOSAL_SCALE = 0.6  # initial Metropolis step width in Lie-algebra coordinates
 
 
 class SamplerError(ValueError):
@@ -58,8 +65,6 @@ class MCSchedule:
     thin: int = 5
     chains: int = 8
     seed: int = 12345
-    proposal_scale: float = 0.6
-    tune: bool = True
 
 
 @dataclass
@@ -119,27 +124,19 @@ def init_config(box: LatticeBox, params: ActionParams, mode: str,
         else:
             raise SamplerError(f"unknown init mode {mode!r}")
         return LatticeConfiguration(box, params, links)
-    dtype = np.float64 if spec.is_real else np.complex128
-    eye = np.eye(n, dtype=dtype)
-    links = [np.broadcast_to(eye, h_shape + (n, n)).copy(),
-             np.broadcast_to(eye, v_shape + (n, n)).copy()]
     if mode == "hot":
-        from loopfield.groups import haar_sample
-        for arr in links:
-            it = arr.reshape(-1, n, n)
-            for i in range(it.shape[0]):
-                it[i] = haar_sample(spec, rng)
-    elif mode != "cold":
+        links = [haar_sample(spec, rng, h_shape), haar_sample(spec, rng, v_shape)]
+    elif mode == "cold":
+        eye = np.eye(n, dtype=spec.dtype)
+        links = [np.broadcast_to(eye, h_shape + (n, n)).copy(),
+                 np.broadcast_to(eye, v_shape + (n, n)).copy()]
+    else:
         raise SamplerError(f"unknown init mode {mode!r}")
     return LatticeConfiguration(box, params, links)
 
 
 # ---------------------------------------------------------------------------
 # action bookkeeping
-
-
-def _adj(m):
-    return np.conj(np.swapaxes(m, -1, -2))
 
 
 def plaquette_product(cfg: LatticeConfiguration):
@@ -150,8 +147,8 @@ def plaquette_product(cfg: LatticeConfiguration):
         return (u0[:, :, :h] + u1[:, 1:, :] - u0[:, :, 1:] - u1[:, :w, :])
     a = u0[:, :, :h]
     b = u1[:, 1:, :]
-    c = _adj(u0[:, :, 1:])
-    d = _adj(u1[:, :w, :])
+    c = inverse(u0[:, :, 1:])
+    d = inverse(u1[:, :w, :])
     return a @ b @ c @ d
 
 
@@ -165,40 +162,6 @@ def total_action(cfg: LatticeConfiguration):
     else:
         retr = n - np.trace(qp, axis1=-2, axis2=-1).real
     return scale * retr.sum(axis=(1, 2))
-
-
-def local_action_delta(cfg: LatticeConfiguration, bond, new_value) -> np.ndarray:
-    """Action change from setting one bond, via its <= 2 plaquettes only."""
-    orient, x, y = bond
-    test = cfg.copy()
-    before = _bond_local_retrace(cfg, orient, x, y)
-    test.links[orient][:, x, y] = new_value
-    after = _bond_local_retrace(test, orient, x, y)
-    return action_exponent_scale(cfg.params) * (after - before)
-
-
-def _bond_local_retrace(cfg, orient, x, y):
-    w, h = cfg.box.width, cfg.box.height
-    qp = plaquette_product(cfg)
-    cells = []
-    if orient == 0:
-        if y < h:
-            cells.append((x, y))
-        if y > 0:
-            cells.append((x, y - 1))
-    else:
-        if x < w:
-            cells.append((x, y))
-        if x > 0:
-            cells.append((x - 1, y))
-    n = cfg.spec.n
-    out = np.zeros(cfg.n_chains)
-    for (i, j) in cells:
-        if cfg.is_u1:
-            out += 1.0 - np.cos(qp[:, i, j])
-        else:
-            out += n - np.trace(qp[:, i, j], axis1=-2, axis2=-1).real
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,43 +202,21 @@ def _staples_matrix(cfg, orient):
     if orient == 0:
         k = np.zeros((cfg.n_chains, w, h + 1, n, n), dtype=dtype)
         # Qp(x, y) = U0[x,y] U1[x+1,y] U0[x,y+1]^* U1[x,y]^*  (bond first)
-        k[:, :, :h] += u1[:, 1:, :] @ _adj(u0[:, :, 1:]) @ _adj(u1[:, :w, :])
+        k[:, :, :h] += u1[:, 1:, :] @ inverse(u0[:, :, 1:]) @ inverse(u1[:, :w, :])
         # Qp(x, y-1) = U0[x,y-1] U1[x+1,y-1] U0[x,y]^* U1[x,y-1]^*; cyclic so
         # Tr = Tr(U0[x,y]^* A) with A = U1[x,y-1]^* U0[x,y-1] U1[x+1,y-1];
         # Re Tr(U0^* A) = Re Tr(U0 A^*), so the staple adds A^*.
-        a = _adj(u1[:, :w, :]) @ u0[:, :, :h] @ u1[:, 1:, :]
-        k[:, :, 1:] += _adj(a)
+        a = inverse(u1[:, :w, :]) @ u0[:, :, :h] @ u1[:, 1:, :]
+        k[:, :, 1:] += inverse(a)
         return k
     k = np.zeros((cfg.n_chains, w + 1, h, n, n), dtype=dtype)
     # Qp(x, y) = U0[x,y] U1[x+1,y] U0[x,y+1]^* U1[x,y]^*: vertical bond (x+1, y)
     # enters as U1[x+1,y]: Tr = Tr(U1[x+1,y] B), B = U0[x,y+1]^* U1[x,y]^* U0[x,y]
-    k[:, 1:, :] += _adj(u0[:, :, 1:]) @ _adj(u1[:, :w, :]) @ u0[:, :, :h]
+    k[:, 1:, :] += inverse(u0[:, :, 1:]) @ inverse(u1[:, :w, :]) @ u0[:, :, :h]
     # and as U1[x,y]^*: Tr = Tr(U1[x,y]^* C), C = U0[x,y] U1[x+1,y] U0[x,y+1]^*
-    c = u0[:, :, :h] @ u1[:, 1:, :] @ _adj(u0[:, :, 1:])
-    k[:, :w, :] += _adj(c)
+    c = u0[:, :, :h] @ u1[:, 1:, :] @ inverse(u0[:, :, 1:])
+    k[:, :w, :] += inverse(c)
     return k
-
-
-def _exp_lie_batch(spec: GroupSpec, coords):
-    """exp of Lie-algebra elements, batched; coords shape (..., dim_lie)."""
-    from loopfield.groups import lie_basis
-    basis = lie_basis(spec)
-    a = np.tensordot(coords, basis, axes=(-1, 0))
-    n = spec.n
-    if spec == GroupSpec("SU", 2):
-        theta = np.sqrt(np.maximum(0.5 * np.einsum("...ij,...ij->...", a, np.conj(a)).real, 1e-300))
-        th = theta[..., None, None]
-        return np.cos(th) * np.eye(2) + np.divide(np.sin(th), th) * a
-    if spec == GroupSpec("SO", 3):
-        theta = np.sqrt(np.maximum(0.5 * np.einsum("...ij,...ij->...", a, a), 1e-300))
-        th = theta[..., None, None]
-        a2 = a @ a
-        return (np.eye(3) + np.divide(np.sin(th), th) * a
-                + np.divide(1.0 - np.cos(th), th**2) * a2)
-    import scipy.linalg
-    flat = a.reshape(-1, n, n)
-    out = np.stack([scipy.linalg.expm(m) for m in flat])
-    return out.reshape(a.shape)
 
 
 _PARITY_SLICES = {}
@@ -321,10 +262,7 @@ def sweep_metropolis(cfg: LatticeConfiguration, rng: np.random.Generator,
                 km = k[:, mask]
                 coords = rng.normal(0.0, proposal_scale,
                                     u.shape[:-2] + (spec.dim_lie,))
-                g = _exp_lie_batch(spec, coords)
-                if spec.is_real and np.iscomplexobj(g):
-                    g = g.real
-                prop = g @ u
+                prop = exp_coords(spec, coords) @ u
                 tr_old = np.einsum("...ij,...ji->...", u, km).real
                 tr_new = np.einsum("...ij,...ji->...", prop, km).real
                 logw = scale * (tr_new - tr_old)
@@ -343,20 +281,8 @@ def reunitarize(cfg: LatticeConfiguration):
     """
     if cfg.is_u1:
         return cfg
-    spec = cfg.spec
-    for orient in (0, 1):
-        arr = cfg.links[orient]
-        u, _, vh = np.linalg.svd(arr)
-        out = u @ vh
-        if spec.family in ("SU", "SO"):
-            det = np.linalg.det(out)
-            if spec.is_real:
-                flip = (det < 0)[..., None]
-                out[..., :, 0] = np.where(flip, -out[..., :, 0], out[..., :, 0])
-                arr[...] = out
-                continue
-            out = out * (det.astype(complex) ** (-1.0 / spec.n))[..., None, None]
-        arr[...] = out
+    for arr in cfg.links:
+        arr[...] = project_to_group(arr, cfg.spec)
     return cfg
 
 
@@ -431,7 +357,7 @@ class WilsonObservable:
                 hol = None
                 for orient, bx, by, sgn in idx:
                     u = cfg.links[orient][:, bx, by]
-                    u = u if sgn > 0 else _adj(u)
+                    u = u if sgn > 0 else inverse(u)
                     hol = u if hol is None else hol @ u
                 vals = vals * np.trace(hol, axis1=-2, axis2=-1) / n
         return vals
@@ -459,22 +385,21 @@ def box_for_subjects(subjects, margin: int = 4):
 
 
 def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
-              box: LatticeBox | None = None, offset=None, margin: int = 4,
-              algorithm: str = "auto", start: str = "hot",
-              progress=None):
+              margin: int = 4, progress=None):
     """Sample and measure the subjects; returns (samples, meta).
 
-    samples: complex array (n_meas, n_subjects, n_chains), measured every
-    `thin` sweeps after `burn_in`.  Proposal width is tuned toward 50%
+    The chains start hot on the smallest box that holds every subject with
+    `margin` bonds to spare.  samples: complex array (n_meas, n_subjects,
+    n_chains), measured every `thin` sweeps after `burn_in`.  U(1) uses the
+    heat bath; for the other groups the proposal width is tuned toward 50%
     acceptance during burn-in only.
     """
-    if box is None:
-        box, offset = box_for_subjects(subjects, margin=margin)
+    box, offset = box_for_subjects(subjects, margin=margin)
     rng = np.random.default_rng(schedule.seed)
-    cfg = init_config(box, params, start, rng, chains=schedule.chains)
+    cfg = init_config(box, params, "hot", rng, chains=schedule.chains)
     obs = [WilsonObservable(s, box, offset) for s in subjects]
-    use_hb = algorithm == "heatbath" or (algorithm == "auto" and cfg.is_u1)
-    scale = schedule.proposal_scale
+    use_hb = cfg.is_u1
+    scale = PROPOSAL_SCALE
     acc_hist = []
     for sweep in range(schedule.burn_in):
         if use_hb:
@@ -482,7 +407,7 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
         else:
             acc = sweep_metropolis(cfg, rng, scale)
             acc_hist.append(acc)
-            if schedule.tune and (sweep + 1) % 20 == 0:
+            if (sweep + 1) % 20 == 0:
                 recent = float(np.mean(acc_hist[-20:]))
                 scale *= math.exp(0.8 * (recent - 0.5))
                 scale = min(max(scale, 1e-3), 4.0)
@@ -553,10 +478,9 @@ def make_estimate(samples: np.ndarray, n_blocks: int = 16) -> Estimate:
 
 
 def estimate_wilson(params: ActionParams, subjects, schedule: MCSchedule,
-                    margin: int = 4, algorithm: str = "auto"):
+                    margin: int = 4):
     """Thinned, burned-in estimates of E W for each subject."""
-    samples, meta = run_chain(params, subjects, schedule, margin=margin,
-                              algorithm=algorithm)
+    samples, meta = run_chain(params, subjects, schedule, margin=margin)
     ests = [make_estimate(samples[:, i, :]) for i in range(len(subjects))]
     return ests, samples, meta
 
@@ -579,7 +503,7 @@ def gauge_transform(cfg: LatticeConfiguration, g_field) -> LatticeConfiguration:
         u1 += (g[None, :, : cfg.box.height] - g[None, :, 1:])
         return out
     g = np.asarray(g_field)
-    ginv = _adj(g)
+    ginv = inverse(g)
     out.links[0] = g[None, : cfg.box.width, :] @ u0 @ ginv[None, 1:, :]
     out.links[1] = g[None, :, : cfg.box.height] @ u1 @ ginv[None, :, 1:]
     return out

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopfield.groups import (GroupSpec, parse_group, identity, multiply, inverse,
                               trace_normalized, lie_basis, inner_product,
@@ -68,8 +69,8 @@ def test_group_closure(spec):
     rng = np.random.default_rng(2)
     n_mult = 10_000 if spec == GroupSpec("SU", 2) else 300
     q = identity(spec)
-    for _ in range(n_mult):
-        q = multiply(q, haar_sample(spec, rng))
+    for g in haar_sample(spec, rng, n_mult):
+        q = multiply(q, g)
     assert is_in_group(q, spec, tol=1e-10)
     q = project_to_group(q, spec)
     assert is_in_group(q, spec, tol=1e-12)
@@ -105,7 +106,7 @@ def test_haar_character_orthogonality():
     assert abs(m) < 3.0 / np.sqrt(n)
     # SU(2): E chi_std = 0 and E |chi_std|^2 = 1
     spec = GroupSpec("SU", 2)
-    tr = np.array([np.trace(haar_sample(spec, rng)) for _ in range(20_000)])
+    tr = np.trace(haar_sample(spec, rng, 20_000), axis1=-2, axis2=-1)
     assert abs(tr.mean().real) < 3.0 * tr.real.std() / np.sqrt(len(tr))
     m2 = np.abs(tr) ** 2
     assert abs(m2.mean() - 1.0) < 3.0 * m2.std() / np.sqrt(len(m2))
@@ -114,10 +115,56 @@ def test_haar_character_orthogonality():
 def test_haar_u1_angle_uniform():
     from scipy import stats
     rng = np.random.default_rng(5)
-    angles = np.angle([haar_sample(GroupSpec("U", 1), rng)[0, 0]
-                       for _ in range(4000)])
+    angles = np.angle(haar_sample(GroupSpec("U", 1), rng, 4000)[:, 0, 0])
     p = stats.kstest((angles + np.pi) / (2 * np.pi), "uniform").pvalue
     assert p > 0.01
+
+
+def _stacked_singles(fn, stack, n):
+    return np.array([fn(m) for m in stack.reshape(-1, n, n)]).reshape(stack.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_SPECS), st.lists(st.integers(1, 3), max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_batched_ops_match_single_calls(spec, shape, seed):
+    # a stack holds bit for bit what one call per element gives, and the
+    # Haar draws leave the generator where the single calls leave it
+    n = spec.n
+    shape = tuple(shape)
+    rng = np.random.default_rng(seed)
+    stack = haar_sample(spec, rng, shape)
+    rng_single = np.random.default_rng(seed)
+    singles = np.array([haar_sample(spec, rng_single)
+                        for _ in range(int(np.prod(shape)))])
+    assert stack.shape == shape + (n, n) and stack.dtype == spec.dtype
+    assert stack.tobytes() == singles.tobytes()
+    assert rng.bit_generator.state == rng_single.bit_generator.state
+
+    a = lie_vector_matrix(spec, rng.normal(0.0, 0.8, shape + (spec.dim_lie,)))
+    expected = _stacked_singles(lambda m: exp_map(spec, m), a, n)
+    assert exp_map(spec, a).tobytes() == expected.tobytes()
+
+    q = stack + 1e-3 * rng.standard_normal(stack.shape)
+    expected = _stacked_singles(lambda m: project_to_group(m, spec), q, n)
+    assert project_to_group(q, spec).tobytes() == expected.tobytes()
+
+
+def test_project_su3_stack():
+    spec = GroupSpec("SU", 3)
+    rng = np.random.default_rng(17)
+    q = haar_sample(spec, rng, 3) + 1e-4 * rng.standard_normal((3, 3, 3))
+    p = project_to_group(q, spec)
+    assert all(is_in_group(m, spec) for m in p)
+    assert p.tobytes() == np.array([project_to_group(m, spec) for m in q]).tobytes()
+
+
+def test_lie_basis_shared_read_only():
+    spec = GroupSpec("SU", 2)
+    basis = lie_basis(spec)
+    assert lie_basis(spec) is basis
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 1.0
 
 
 def test_directional_derivative_closed_form():

@@ -4,10 +4,10 @@ from scipy import stats
 
 from loopfield.groups import GroupSpec, haar_sample
 from loopfield.action import ActionParams, char_coefficient, partition_function, \
-    unnormalized_weight, standard_label
+    unnormalized_weight, standard_label, action_exponent_scale
 from loopfield.loops import plaquette_loop, make_loop_from_moves
 from loopfield.sampler import (LatticeBox, MCSchedule, init_config,
-                               total_action, local_action_delta,
+                               total_action, _staple_u1, _staples_matrix,
                                sweep_metropolis, sweep_heatbath_u1,
                                plaquette_product, WilsonObservable,
                                box_for_subjects, run_chain, make_estimate,
@@ -59,37 +59,30 @@ def test_deterministic_under_seed():
 
 
 @pytest.mark.parametrize("spec", [U1, SU2, SO3], ids=str)
-def test_local_action_delta_matches_global(spec):
+def test_staples_give_local_action_change(spec):
+    # the sweeps weigh a new link U' by scale * (Re Tr(U' K) - Re Tr(U K));
+    # that must be the drop in the total action, at interior bonds (two
+    # plaquettes) and at every side of the boundary (one plaquette)
     rng = np.random.default_rng(7)
     params = ActionParams(spec, 0.7)
-    box = LatticeBox(3, 2)
-    cfg = init_config(box, params, "hot", rng, chains=2)
-    s0 = total_action(cfg)
-    for bond in ((0, 1, 1), (1, 2, 0), (0, 0, 2), (1, 3, 1), (0, 2, 0)):
-        orient, x, y = bond
+    cfg = init_config(LatticeBox(3, 2), params, "hot", rng, chains=2)
+    scale = action_exponent_scale(params)
+    for orient, x, y in ((0, 1, 1), (1, 2, 0), (0, 0, 2), (1, 3, 1),
+                         (0, 2, 0), (1, 0, 1)):
+        u = cfg.links[orient][:, x, y]
         if spec == U1:
-            newv = rng.uniform(-np.pi, np.pi, cfg.n_chains)
+            new = rng.uniform(-np.pi, np.pi, cfg.n_chains)
+            k = _staple_u1(cfg, orient)[:, x, y]
+            gain = np.real(np.exp(1j * new) * k) - np.real(np.exp(1j * u) * k)
         else:
-            newv = np.stack([haar_sample(spec, rng) for _ in range(cfg.n_chains)])
-        d_local = local_action_delta(cfg, bond, newv)
-        test = cfg.copy()
-        test.links[orient][:, x, y] = newv
-        assert np.max(np.abs(d_local - (total_action(test) - s0))) < 1e-10
-    # no-op update
-    bond = (0, 1, 1)
-    assert np.max(np.abs(local_action_delta(
-        cfg, bond, cfg.links[0][:, 1, 1]))) < 1e-14
-
-
-def test_boundary_bond_single_plaquette():
-    params = ActionParams(U1, 0.7)
-    rng = np.random.default_rng(3)
-    cfg = init_config(LatticeBox(2, 2), params, "hot", rng, chains=1)
-    # corner bond (0,0) horizontal at y=0 touches exactly one plaquette
-    d = local_action_delta(cfg, (0, 0, 0), np.array([0.3]))
-    test = cfg.copy()
-    test.links[0][:, 0, 0] = 0.3
-    assert abs(d[0] - (total_action(test) - total_action(cfg))[0]) < 1e-12
+            new = haar_sample(spec, rng, cfg.n_chains)
+            k = _staples_matrix(cfg, orient)[:, x, y]
+            gain = (np.einsum("cij,cji->c", new, k).real
+                    - np.einsum("cij,cji->c", u, k).real)
+        after = cfg.copy()
+        after.links[orient][:, x, y] = new
+        drop = total_action(cfg) - total_action(after)
+        assert np.max(np.abs(scale * gain - drop)) < 1e-10
 
 
 def test_plaquette_expectation_heatbath_u1():
@@ -179,8 +172,7 @@ def test_gauge_invariance_all_groups():
         if spec == U1:
             g = rng.uniform(-np.pi, np.pi, (5, 5))
         else:
-            g = np.stack([haar_sample(spec, rng) for _ in range(25)])
-            g = g.reshape(5, 5, spec.n, spec.n)
+            g = haar_sample(spec, rng, (5, 5))
         cfg2 = gauge_transform(cfg, g)
         after = obs.measure(cfg2)
         assert np.max(np.abs(after - before)) < 1e-12
