@@ -597,13 +597,13 @@ def finite_difference_alternating(spec: GroupSpec, epsilon: float,
     +/- step_plaquettes * eps^2, matched seeds across geometries.
     """
     h = step_plaquettes * epsilon**2
-    out = {}
+    out, metas = {}, {}
     variance = 0.0
     for label, (d2s, d4s) in {"t2+": (h, 0), "t2-": (-h, 0),
                               "t4+": (0, h), "t4-": (0, -h)}.items():
         geometry = make_figure_eight(t2 + d2s, t4 + d4s, epsilon)
         params = ActionParams(spec, epsilon)
-        samples, _ = run_chain(params, [geometry.subject], schedule)
+        samples, metas[label] = run_chain(params, [geometry.subject], schedule)
         est = make_estimate(samples[:, 0, :])
         out[label] = est
         variance += (est.sigma / (2 * h)) ** 2
@@ -611,4 +611,5 @@ def finite_difference_alternating(spec: GroupSpec, epsilon: float,
     d2 = (out["t2+"].mean - out["t2-"].mean) / (2 * h)
     d4 = (out["t4+"].mean - out["t4-"].mean) / (2 * h)
     value = -d2 - d4  # d1 = d3 = 0 (unbounded wedges)
-    return {"value": value, "sigma": math.sqrt(variance), "estimates": out}
+    return {"value": value, "sigma": math.sqrt(variance), "estimates": out,
+            "run_meta": metas}

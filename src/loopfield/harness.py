@@ -252,6 +252,25 @@ def _within(name, mean, sigma, n_sigma):
                   f"z = {z:.2f}")
 
 
+def _chain_diagnostics(spec, eps, meta, estimates):
+    """The JSON `diagnostics` entry of one chain run: its box, tuning,
+    acceptance, sweeps and the tau_int of each (label, Estimate) it fed."""
+    box = meta["box"]
+    return {"group": str(spec), "epsilon": eps, "box": [box.width, box.height],
+            "algorithm": meta["algorithm"],
+            "proposal_scale": meta["proposal_scale"],
+            "acceptance_burn_in": meta["acceptance_burn_in"],
+            "acceptance_measure": meta["acceptance_measure"],
+            "sweeps": meta["sweeps"],
+            "tau_int": {label: est.tau_int for label, est in estimates}}
+
+
+def _term_estimates(prefix, rep):
+    """(label, Estimate) per term of an equation report; tags can repeat."""
+    return [(f"{prefix}{i}:{t.tag}", v)
+            for i, (t, v) in enumerate(zip(rep.terms, rep.values))]
+
+
 CSV_COLUMNS = ["experiment", "group", "epsilon", "triple_id", "term", "value",
                "sigma", "residual", "residual_sigma", "target", "gap", "rate"]
 
@@ -499,17 +518,23 @@ def run_converge_unified(cfg):
     t2, t4 = cfg["geometry"]["t2"], cfg["geometry"]["t4"]
     n_sigma = cfg["tolerances"]["n_sigma"]
     schedule = MCSchedule(**cfg["mc"])
-    rows, clauses = [], []
+    rows, clauses, diagnostics = [], [], []
     for spec in cfg["groups"]["list"]:
         for eps in cfg["grid"]["epsilons"]:
             out = unified_equation_reports(spec, eps, schedule, t2=t2, t4=t4)
+            named = [(key, out[key]) for key in ("combination", "wlg_gap",
+                                                 "expansion_pair")
+                     if out[key] is not None]
+            named += list(out["estimates"].items())
             for key, rep in out["reports"].items():
+                named += _term_estimates(f"{key}:", rep)
                 rows.append({"experiment": "converge-unified", "group": str(spec),
                              "epsilon": eps, "term": key,
                              "residual": rep.residual,
                              "residual_sigma": rep.residual_sigma})
                 clauses.append(_within(f"{spec} eps={eps:g} {key} residual",
                                        rep.residual, rep.residual_sigma, n_sigma))
+            diagnostics.append(_chain_diagnostics(spec, eps, out["run_meta"], named))
             comb = out["combination"]
             clauses.append(_within(f"{spec} eps={eps:g} combination residual",
                                    comb.mean, comb.sigma, n_sigma))
@@ -543,6 +568,9 @@ def run_converge_unified(cfg):
                 fd = finite_difference_alternating(spec, eps, schedule,
                                                    t2=t2, t4=t4,
                                                    step_plaquettes=2)
+                for label, est in fd["estimates"].items():
+                    diagnostics.append(_chain_diagnostics(
+                        spec, eps, fd["run_meta"][label], [(f"fd:{label}", est)]))
                 rhs = (out["estimates"]["split"].mean
                        - (2 - spec.beta_g) / (spec.beta_g * spec.n)
                        * out["estimates"]["twist"].mean
@@ -551,14 +579,14 @@ def run_converge_unified(cfg):
                              "epsilon": eps, "term": "fd-alternating-sum",
                              "value": fd["value"], "sigma": fd["sigma"],
                              "target": rhs, "gap": abs(fd["value"] - rhs)})
-    return rows, clauses, {}
+    return rows, clauses, {"diagnostics": diagnostics}
 
 
 def run_sample_diagnostics(cfg):
     epsilons = cfg["grid"]["epsilons"]
     n_sigma = cfg["tolerances"]["n_sigma"]
     schedule = MCSchedule(**cfg["mc"])
-    rows, clauses = [], []
+    rows, clauses, diagnostics = [], [], []
     plaq = plaquette_loop((0, 0))
 
     # single-plaquette identity for the three sampled groups
@@ -568,6 +596,8 @@ def run_sample_diagnostics(cfg):
             a_std = char_coefficient(standard_label(fam), params)
             ests, samples, meta = estimate_wilson(params, [plaq], schedule, margin=1)
             est = ests[0]
+            diagnostics.append(_chain_diagnostics(fam, eps, meta,
+                                                  [("plaquette", est)]))
             rows.append({"experiment": "sample-diagnostics", "group": str(fam),
                          "epsilon": eps, "term": "plaquette",
                          "value": est.mean, "sigma": est.sigma,
@@ -583,6 +613,8 @@ def run_sample_diagnostics(cfg):
     espec = EquationSpec(su2, eps, loop, site)
     terms, meta = assemble(espec)
     rep = evaluate_mc(terms, meta, ActionParams(su2, eps), schedule)
+    diagnostics.append(_chain_diagnostics(su2, eps, rep.metadata,
+                                          _term_estimates("rectangle:", rep)))
     rows.append({"experiment": "sample-diagnostics", "group": "SU(2)",
                  "epsilon": eps, "term": "rectangle-equation",
                  "residual": rep.residual, "residual_sigma": rep.residual_sigma})
@@ -595,6 +627,8 @@ def run_sample_diagnostics(cfg):
     espec = EquationSpec(so3, eps, geo.subject, geo.annotation.e_first[0])
     terms, meta = assemble(espec)
     rep = evaluate_mc(terms, meta, ActionParams(so3, eps), schedule)
+    diagnostics.append(_chain_diagnostics(so3, eps, rep.metadata,
+                                          _term_estimates("figure-eight:", rep)))
     rows.append({"experiment": "sample-diagnostics", "group": "SO(3)",
                  "epsilon": eps, "term": "figure-eight-equation",
                  "residual": rep.residual, "residual_sigma": rep.residual_sigma})
@@ -603,8 +637,10 @@ def run_sample_diagnostics(cfg):
 
     clauses.extend(_gauge_bit_identity_clauses(eps))
     clauses.extend(_chain_statistics_clauses(eps, schedule))
-    clauses.extend(_volume_doubling_clauses(eps, schedule, n_sigma))
-    return rows, clauses, {}
+    doubling, doubling_diagnostics = _volume_doubling_clauses(eps, schedule, n_sigma)
+    clauses.extend(doubling)
+    diagnostics.extend(doubling_diagnostics)
+    return rows, clauses, {"diagnostics": diagnostics}
 
 
 def _gauge_bit_identity_clauses(eps):
@@ -714,22 +750,27 @@ def _chain_statistics_clauses(eps, schedule):
 
 
 def _volume_doubling_clauses(eps, schedule, n_sigma):
-    """Finite-volume proxy: a fixed small loop on margins m and 2m agrees."""
-    clauses = []
-    params = ActionParams(GroupSpec("SU", 2), eps)
+    """Finite-volume proxy: a fixed small loop on margins m and 2m agrees.
+
+    Returns the clause and the diagnostics of the two chains."""
+    clauses, diagnostics = [], []
+    su2 = GroupSpec("SU", 2)
+    params = ActionParams(su2, eps)
     loop, _ = make_rectangle(0.25, eps)
     vals = []
     for margin in (3, 6):
-        ests, _, _ = estimate_wilson(params, [loop],
-                                     replace(schedule, seed=schedule.seed + margin),
-                                     margin=margin)
+        ests, _, meta = estimate_wilson(params, [loop],
+                                        replace(schedule, seed=schedule.seed + margin),
+                                        margin=margin)
         vals.append(ests[0])
+        diagnostics.append(_chain_diagnostics(su2, eps, meta,
+                                              [(f"margin-{margin}", ests[0])]))
     diff = abs(vals[0].mean - vals[1].mean)
     sig = math.hypot(vals[0].sigma, vals[1].sigma)
     clauses.append(Clause(
         f"box-size doubling agreement within {n_sigma:g} sigma",
         diff <= n_sigma * sig, f"diff {diff:.4f} vs sigma {sig:.4f}"))
-    return clauses
+    return clauses, diagnostics
 
 
 EXPERIMENTS = {

@@ -9,6 +9,11 @@ U(1) chains use the exact heat bath (von Mises conditional); the matrix
 groups use a vectorized Metropolis sweep over four independent sublattices
 (orientation x bond-row parity), with proposals Q -> exp(dA) Q whose width
 starts at PROPOSAL_SCALE and is tuned toward 50% acceptance during burn-in.
+Both updates compute staples per sublattice: each sublattice is a strided
+view of its link array, and its staples multiply strided views of the
+neighbouring links, so no staple is built for a bond the update leaves
+alone.  The view keeps row-major bond order, so the random streams are
+unchanged from a full-field update that selects one parity by a mask.
 Chains are carried as a leading batch axis; one master seed drives them all.
 The group operations (Haar draws for the hot start, the exponential map,
 the adjoint and the polar projection in `reunitarize`) are the batched ones
@@ -168,66 +173,83 @@ def total_action(cfg: LatticeConfiguration):
 # staples and sweeps
 
 
-def _staple_u1(cfg, orient):
-    """Complex staple K per bond: the local weight is exp(scale * Re(e^{i theta} K)).
+def _sublattice(orient, parity):
+    """Strided index of one sublattice of an orientation's links (or plaquettes).
+
+    Horizontal bonds in rows y = parity, parity+2, ... (vertical bonds in
+    columns x = parity, parity+2, ...) share no plaquette.  The view lists
+    them in the row-major order of the full array.
+    """
+    step = slice(parity, None, 2)
+    return (slice(None), slice(None), step) if orient == 0 else (slice(None), step)
+
+
+def _plaquette_sides(links, orient, start):
+    """Bottom, right, top and left links (a, b, c, d; Qp = a b c^-1 d^-1) of
+    the plaquettes in rows (orient 0) or columns (orient 1) start, start+2, ...
+
+    Sublattice `parity` bonds border the plaquettes of start `parity` (the
+    leading bonds of the sublattice, one each) and of start 1 - parity (every
+    bond from sublattice index 1 - parity on, one each).
+    """
+    u0, u1 = links
+    w, h = u0.shape[1], u1.shape[2]
+    sub = _sublattice(orient, start)
+    return u0[:, :, :h][sub], u1[:, 1:, :][sub], u0[:, :, 1:][sub], u1[:, :w, :][sub]
+
+
+def _staple_u1(cfg, orient, parity):
+    """Complex staple K per bond of one sublattice: the local weight is
+    exp(scale * Re(e^{i theta} K)).
 
     Sums the two adjacent plaquette contributions; the plaquette where the
     bond appears reversed enters through the conjugate product.
     """
-    u0, u1 = cfg.links
-    w, h = cfg.box.width, cfg.box.height
-    z0 = np.exp(1j * u0)
-    z1 = np.exp(1j * u1)
+    z = [np.exp(1j * u) for u in cfg.links]
+    k = np.zeros(cfg.links[orient][_sublattice(orient, parity)].shape, dtype=complex)
     if orient == 0:
-        k = np.zeros((cfg.n_chains, w, h + 1), dtype=complex)
         # bond at the bottom of Qp(x, y): theta + (u1[x+1,y] - u0[x,y+1] - u1[x,y])
-        k[:, :, :h] += z1[:, 1:, :] * np.conj(z0[:, :, 1:]) * np.conj(z1[:, :w, :])
+        _, b, c, d = _plaquette_sides(z, 0, parity)
+        t = b * np.conj(c) * np.conj(d)
+        k[:, :, :t.shape[2]] += t
         # bond at the top of Qp(x, y-1): -theta + (u0[x,y-1] + u1[x+1,y-1] - u1[x,y-1])
-        k[:, :, 1:] += np.conj(z0[:, :, :h] * z1[:, 1:, :] * np.conj(z1[:, :w, :]))
+        a, b, _, d = _plaquette_sides(z, 0, 1 - parity)
+        k[:, :, 1 - parity:] += np.conj(a * b * np.conj(d))
         return k
-    k = np.zeros((cfg.n_chains, w + 1, h), dtype=complex)
     # bond as the right side of Qp(x-1, y): theta + (u0[x-1,y] - u0[x-1,y+1] - u1[x-1,y])
-    k[:, 1:, :] += z0[:, :, :h] * np.conj(z0[:, :, 1:]) * np.conj(z1[:, :w, :])
+    a, _, c, d = _plaquette_sides(z, 1, 1 - parity)
+    k[:, 1 - parity:] += a * np.conj(c) * np.conj(d)
     # bond as the left side of Qp(x, y): -theta + (u0[x,y] + u1[x+1,y] - u0[x,y+1])
-    k[:, :w, :] += np.conj(z0[:, :, :h] * z1[:, 1:, :] * np.conj(z0[:, :, 1:]))
+    a, b, c, _ = _plaquette_sides(z, 1, parity)
+    t = np.conj(a * b * np.conj(c))
+    k[:, :t.shape[1]] += t
     return k
 
 
-def _staples_matrix(cfg, orient):
-    """Matrix staples such that Re Tr(U K) sums the affected plaquette traces."""
-    u0, u1 = cfg.links
-    w, h = cfg.box.width, cfg.box.height
-    n = cfg.spec.n
-    dtype = u0.dtype
+def _staples_matrix(cfg, orient, parity):
+    """Matrix staples of one sublattice: Re Tr(U K) sums the affected plaquette traces."""
+    links = cfg.links
+    k = np.zeros(links[orient][_sublattice(orient, parity)].shape, dtype=links[0].dtype)
     if orient == 0:
-        k = np.zeros((cfg.n_chains, w, h + 1, n, n), dtype=dtype)
         # Qp(x, y) = U0[x,y] U1[x+1,y] U0[x,y+1]^* U1[x,y]^*  (bond first)
-        k[:, :, :h] += u1[:, 1:, :] @ inverse(u0[:, :, 1:]) @ inverse(u1[:, :w, :])
+        _, b, c, d = _plaquette_sides(links, 0, parity)
+        t = b @ inverse(c) @ inverse(d)
+        k[:, :, :t.shape[2]] += t
         # Qp(x, y-1) = U0[x,y-1] U1[x+1,y-1] U0[x,y]^* U1[x,y-1]^*; cyclic so
         # Tr = Tr(U0[x,y]^* A) with A = U1[x,y-1]^* U0[x,y-1] U1[x+1,y-1];
         # Re Tr(U0^* A) = Re Tr(U0 A^*), so the staple adds A^*.
-        a = inverse(u1[:, :w, :]) @ u0[:, :, :h] @ u1[:, 1:, :]
-        k[:, :, 1:] += inverse(a)
+        a, b, _, d = _plaquette_sides(links, 0, 1 - parity)
+        k[:, :, 1 - parity:] += inverse(inverse(d) @ a @ b)
         return k
-    k = np.zeros((cfg.n_chains, w + 1, h, n, n), dtype=dtype)
     # Qp(x, y) = U0[x,y] U1[x+1,y] U0[x,y+1]^* U1[x,y]^*: vertical bond (x+1, y)
     # enters as U1[x+1,y]: Tr = Tr(U1[x+1,y] B), B = U0[x,y+1]^* U1[x,y]^* U0[x,y]
-    k[:, 1:, :] += inverse(u0[:, :, 1:]) @ inverse(u1[:, :w, :]) @ u0[:, :, :h]
+    a, _, c, d = _plaquette_sides(links, 1, 1 - parity)
+    k[:, 1 - parity:] += inverse(c) @ inverse(d) @ a
     # and as U1[x,y]^*: Tr = Tr(U1[x,y]^* C), C = U0[x,y] U1[x+1,y] U0[x,y+1]^*
-    c = u0[:, :, :h] @ u1[:, 1:, :] @ inverse(u0[:, :, 1:])
-    k[:, :w, :] += inverse(c)
+    a, b, c, _ = _plaquette_sides(links, 1, parity)
+    t = inverse(a @ b @ inverse(c))
+    k[:, :t.shape[1]] += t
     return k
-
-
-_PARITY_SLICES = {}
-
-
-def _parity_masks(shape2, axis):
-    key = (shape2, axis)
-    if key not in _PARITY_SLICES:
-        idx = np.indices(shape2)[axis]
-        _PARITY_SLICES[key] = (idx % 2 == 0, idx % 2 == 1)
-    return _PARITY_SLICES[key]
 
 
 def sweep_metropolis(cfg: LatticeConfiguration, rng: np.random.Generator,
@@ -236,7 +258,10 @@ def sweep_metropolis(cfg: LatticeConfiguration, rng: np.random.Generator,
 
     Returns the acceptance rate.  Horizontal bonds of equal y-parity (and
     vertical of equal x-parity) share no plaquette, so each sublattice
-    updates in parallel while keeping detailed balance.
+    updates in parallel while keeping detailed balance.  Each sublattice is
+    read, given its staples and written back through one strided view, so
+    no staple is built for a bond the update leaves alone; the bonds come in
+    row-major order, which fixes the order of the random draws.
     """
     spec = cfg.spec
     scale = action_exponent_scale(cfg.params)
@@ -244,30 +269,27 @@ def sweep_metropolis(cfg: LatticeConfiguration, rng: np.random.Generator,
     total = 0
     for orient in (0, 1):
         arr = cfg.links[orient]
-        shape2 = arr.shape[1:3]
-        axis = 1 if orient == 0 else 0
-        for mask in _parity_masks(shape2, axis):
+        for parity in (0, 1):
+            sub = _sublattice(orient, parity)
             if cfg.is_u1:
-                k = _staple_u1(cfg, orient)
-                theta = arr[:, mask]
+                k = _staple_u1(cfg, orient, parity)
+                theta = arr[sub]
                 prop = theta + rng.normal(0.0, proposal_scale, theta.shape)
-                km = k[:, mask]
-                logw = scale * (np.real(np.exp(1j * prop) * km)
-                                - np.real(np.exp(1j * theta) * km))
+                logw = scale * (np.real(np.exp(1j * prop) * k)
+                                - np.real(np.exp(1j * theta) * k))
                 acc = np.log(rng.uniform(size=theta.shape)) < logw
-                arr[:, mask] = np.where(acc, prop, theta)
+                arr[sub] = np.where(acc, prop, theta)
             else:
-                k = _staples_matrix(cfg, orient)
-                u = arr[:, mask]
-                km = k[:, mask]
+                k = _staples_matrix(cfg, orient, parity)
+                u = arr[sub]
                 coords = rng.normal(0.0, proposal_scale,
                                     u.shape[:-2] + (spec.dim_lie,))
                 prop = exp_coords(spec, coords) @ u
-                tr_old = np.einsum("...ij,...ji->...", u, km).real
-                tr_new = np.einsum("...ij,...ji->...", prop, km).real
+                tr_old = np.einsum("...ij,...ji->...", u, k).real
+                tr_new = np.einsum("...ij,...ji->...", prop, k).real
                 logw = scale * (tr_new - tr_old)
                 acc = np.log(rng.uniform(size=logw.shape)) < logw
-                arr[:, mask] = np.where(acc[..., None, None], prop, u)
+                arr[sub] = np.where(acc[..., None, None], prop, u)
             accepted += int(acc.sum())
             total += acc.size
     return accepted / max(total, 1)
@@ -292,14 +314,11 @@ def sweep_heatbath_u1(cfg: LatticeConfiguration, rng: np.random.Generator):
         raise SamplerError("heat bath implemented for U(1) only")
     scale = action_exponent_scale(cfg.params)
     for orient in (0, 1):
-        arr = cfg.links[orient]
-        shape2 = arr.shape[1:3]
-        axis = 1 if orient == 0 else 0
-        for mask in _parity_masks(shape2, axis):
-            k = _staple_u1(cfg, orient)[:, mask]
+        for parity in (0, 1):
+            k = _staple_u1(cfg, orient, parity)
             kappa = scale * np.abs(k)
             mu = -np.angle(k)
-            arr[:, mask] = _vonmises(rng, mu, kappa)
+            cfg.links[orient][_sublattice(orient, parity)] = _vonmises(rng, mu, kappa)
     return cfg
 
 
@@ -392,7 +411,10 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
     `margin` bonds to spare.  samples: complex array (n_meas, n_subjects,
     n_chains), measured every `thin` sweeps after `burn_in`.  U(1) uses the
     heat bath; for the other groups the proposal width is tuned toward 50%
-    acceptance during burn-in only.
+    acceptance during burn-in only.  meta holds the final proposal width,
+    the mean Metropolis acceptance over the burn-in and over the measurement
+    sweeps (each None for the heat bath, or when there were no such sweeps)
+    and the number of sweeps.
     """
     box, offset = box_for_subjects(subjects, margin=margin)
     rng = np.random.default_rng(schedule.seed)
@@ -412,6 +434,7 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
                 scale *= math.exp(0.8 * (recent - 0.5))
                 scale = min(max(scale, 1e-3), 4.0)
     rows = []
+    meas_acc = []
     n_meas = schedule.sweeps // schedule.thin
     sweeps_done = 0
     for m in range(n_meas):
@@ -419,7 +442,7 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
             if use_hb:
                 sweep_heatbath_u1(cfg, rng)
             else:
-                sweep_metropolis(cfg, rng, scale)
+                meas_acc.append(sweep_metropolis(cfg, rng, scale))
             sweeps_done += 1
             if not use_hb and sweeps_done % 2500 == 0:
                 reunitarize(cfg)
@@ -427,9 +450,17 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
         if progress is not None:
             progress(m, n_meas)
     samples = np.stack(rows)  # (n_meas, n_subjects, n_chains)
-    meta = {"box": box, "offset": offset, "proposal_scale": scale,
-            "algorithm": "heatbath" if use_hb else "metropolis"}
+    meta = {"box": box, "offset": offset,
+            "proposal_scale": None if use_hb else scale,
+            "algorithm": "heatbath" if use_hb else "metropolis",
+            "acceptance_burn_in": _mean_or_none(acc_hist),
+            "acceptance_measure": _mean_or_none(meas_acc),
+            "sweeps": schedule.burn_in + sweeps_done}
     return samples, meta
+
+
+def _mean_or_none(values):
+    return float(np.mean(values)) if values else None
 
 
 def integrated_autocorrelation(x: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import json
 import os
 import runpy
 from collections.abc import Mapping
@@ -6,7 +7,7 @@ import pytest
 
 from loopfield.harness import (load_config, ConfigError, run_experiment,
                                emit_fixtures, EXIT_OK, EXIT_FAIL, EXIT_CONFIG,
-                               EXPERIMENTS, SCHEMA)
+                               EXPERIMENTS, SCHEMA, CSV_COLUMNS)
 from loopfield.cli import main as cli_main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -207,3 +208,29 @@ def test_every_schema_key_is_read(tmp_path, name):
     EXPERIMENTS[name]({s: _Reads(s, v, seen) for s, v in cfg.items()})
     # run_experiment itself reads [output] path
     assert seen == set(SCHEMA[name]) - {("output", "path")}
+
+
+DIAGNOSTIC_KEYS = {"group", "epsilon", "box", "algorithm", "proposal_scale",
+                   "acceptance_burn_in", "acceptance_measure", "sweeps", "tau_int"}
+
+
+@pytest.mark.parametrize("name,extra,n_chains", [
+    ("converge-unified", "[groups]\nlist = SU2\n", 5),
+    ("sample-diagnostics", "", 7),
+], ids=["converge-unified", "sample-diagnostics"])
+def test_mc_reports_carry_chain_diagnostics(tmp_path, name, extra, n_chains):
+    # one entry per chain run, in the JSON only; the CSV columns are unchanged
+    path = _write(tmp_path, f"[experiment]\nname = {name}\n[grid]\nepsilons = 0.5\n"
+                            f"{extra}[mc]\nsweeps = 8\nburn_in = 20\nthin = 2\n"
+                            "chains = 2\n[output]\npath = mc\n")
+    assert run_experiment(path, out_dir=str(tmp_path)) in (EXIT_OK, EXIT_FAIL)
+    payload = json.loads((tmp_path / "mc.json").read_text())
+    diagnostics = payload["diagnostics"]
+    assert len(diagnostics) == n_chains
+    for entry in diagnostics:
+        assert set(entry) == DIAGNOSTIC_KEYS
+        assert entry["tau_int"] and all(t >= 1.0 for t in entry["tau_int"].values())
+        if entry["algorithm"] == "metropolis":
+            assert 0.0 <= entry["acceptance_measure"] <= 1.0
+    header = (tmp_path / "mc.csv").read_text().splitlines()[0]
+    assert header == ",".join(CSV_COLUMNS)

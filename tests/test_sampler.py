@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from loopfield.groups import GroupSpec, haar_sample
+from loopfield.groups import GroupSpec, exp_coords, haar_sample, inverse
 from loopfield.action import ActionParams, char_coefficient, partition_function, \
     unnormalized_weight, standard_label, action_exponent_scale
 from loopfield.loops import plaquette_loop, make_loop_from_moves
@@ -61,28 +64,129 @@ def test_deterministic_under_seed():
 @pytest.mark.parametrize("spec", [U1, SU2, SO3], ids=str)
 def test_staples_give_local_action_change(spec):
     # the sweeps weigh a new link U' by scale * (Re Tr(U' K) - Re Tr(U K));
-    # that must be the drop in the total action, at interior bonds (two
-    # plaquettes) and at every side of the boundary (one plaquette)
+    # that must be the drop in the total action at every bond of every
+    # sublattice: interior bonds (two plaquettes) and boundary bonds (one)
     rng = np.random.default_rng(7)
     params = ActionParams(spec, 0.7)
-    cfg = init_config(LatticeBox(3, 2), params, "hot", rng, chains=2)
     scale = action_exponent_scale(params)
-    for orient, x, y in ((0, 1, 1), (1, 2, 0), (0, 0, 2), (1, 3, 1),
-                         (0, 2, 0), (1, 0, 1)):
-        u = cfg.links[orient][:, x, y]
-        if spec == U1:
-            new = rng.uniform(-np.pi, np.pi, cfg.n_chains)
-            k = _staple_u1(cfg, orient)[:, x, y]
-            gain = np.real(np.exp(1j * new) * k) - np.real(np.exp(1j * u) * k)
+    staples = _staple_u1 if spec == U1 else _staples_matrix
+    for width, height in ((3, 2), (1, 1), (1, 3), (4, 1)):
+        cfg = init_config(LatticeBox(width, height), params, "hot", rng, chains=2)
+        checked = 0
+        for orient, parity in itertools.product((0, 1), (0, 1)):
+            k_sub = staples(cfg, orient, parity)
+            for x, y in np.ndindex(cfg.links[orient].shape[1:3]):
+                along = y if orient == 0 else x
+                if along % 2 != parity:
+                    continue
+                k = k_sub[:, x, along // 2] if orient == 0 else k_sub[:, along // 2, y]
+                u = cfg.links[orient][:, x, y]
+                if spec == U1:
+                    new = rng.uniform(-np.pi, np.pi, cfg.n_chains)
+                    gain = np.real(np.exp(1j * new) * k) - np.real(np.exp(1j * u) * k)
+                else:
+                    new = haar_sample(spec, rng, cfg.n_chains)
+                    gain = (np.einsum("cij,cji->c", new, k).real
+                            - np.einsum("cij,cji->c", u, k).real)
+                after = cfg.copy()
+                after.links[orient][:, x, y] = new
+                drop = total_action(cfg) - total_action(after)
+                assert np.max(np.abs(scale * gain - drop)) < 1e-10
+                checked += 1
+        assert checked == cfg.box.n_bonds
+
+
+# Oracle: the full-field sweeps that build the staples of every bond of an
+# orientation, then gather and scatter one parity class by a boolean mask.
+
+def _oracle_staples(cfg, orient):
+    u0, u1 = cfg.links
+    w, h = cfg.box.width, cfg.box.height
+    if cfg.is_u1:
+        z0, z1 = np.exp(1j * u0), np.exp(1j * u1)
+        k = np.zeros(cfg.links[orient].shape, dtype=complex)
+        if orient == 0:
+            k[:, :, :h] += z1[:, 1:, :] * np.conj(z0[:, :, 1:]) * np.conj(z1[:, :w, :])
+            k[:, :, 1:] += np.conj(z0[:, :, :h] * z1[:, 1:, :] * np.conj(z1[:, :w, :]))
         else:
-            new = haar_sample(spec, rng, cfg.n_chains)
-            k = _staples_matrix(cfg, orient)[:, x, y]
-            gain = (np.einsum("cij,cji->c", new, k).real
-                    - np.einsum("cij,cji->c", u, k).real)
-        after = cfg.copy()
-        after.links[orient][:, x, y] = new
-        drop = total_action(cfg) - total_action(after)
-        assert np.max(np.abs(scale * gain - drop)) < 1e-10
+            k[:, 1:, :] += z0[:, :, :h] * np.conj(z0[:, :, 1:]) * np.conj(z1[:, :w, :])
+            k[:, :w, :] += np.conj(z0[:, :, :h] * z1[:, 1:, :] * np.conj(z0[:, :, 1:]))
+        return k
+    k = np.zeros(cfg.links[orient].shape, dtype=u0.dtype)
+    if orient == 0:
+        k[:, :, :h] += u1[:, 1:, :] @ inverse(u0[:, :, 1:]) @ inverse(u1[:, :w, :])
+        k[:, :, 1:] += inverse(inverse(u1[:, :w, :]) @ u0[:, :, :h] @ u1[:, 1:, :])
+    else:
+        k[:, 1:, :] += inverse(u0[:, :, 1:]) @ inverse(u1[:, :w, :]) @ u0[:, :, :h]
+        k[:, :w, :] += inverse(u0[:, :, :h] @ u1[:, 1:, :] @ inverse(u0[:, :, 1:]))
+    return k
+
+
+def _oracle_masks(arr, orient):
+    idx = np.indices(arr.shape[1:3])[1 if orient == 0 else 0]
+    return idx % 2 == 0, idx % 2 == 1
+
+
+def _oracle_metropolis(cfg, rng, proposal_scale):
+    spec, scale = cfg.spec, action_exponent_scale(cfg.params)
+    accepted = total = 0
+    for orient in (0, 1):
+        arr = cfg.links[orient]
+        for mask in _oracle_masks(arr, orient):
+            km = _oracle_staples(cfg, orient)[:, mask]
+            u = arr[:, mask]
+            if cfg.is_u1:
+                prop = u + rng.normal(0.0, proposal_scale, u.shape)
+                logw = scale * (np.real(np.exp(1j * prop) * km)
+                                - np.real(np.exp(1j * u) * km))
+                acc = np.log(rng.uniform(size=u.shape)) < logw
+                arr[:, mask] = np.where(acc, prop, u)
+            else:
+                coords = rng.normal(0.0, proposal_scale, u.shape[:-2] + (spec.dim_lie,))
+                prop = exp_coords(spec, coords) @ u
+                logw = scale * (np.einsum("...ij,...ji->...", prop, km).real
+                                - np.einsum("...ij,...ji->...", u, km).real)
+                acc = np.log(rng.uniform(size=logw.shape)) < logw
+                arr[:, mask] = np.where(acc[..., None, None], prop, u)
+            accepted += int(acc.sum())
+            total += acc.size
+    return accepted / total
+
+
+def _oracle_heatbath(cfg, rng):
+    scale = action_exponent_scale(cfg.params)
+    for orient in (0, 1):
+        arr = cfg.links[orient]
+        for mask in _oracle_masks(arr, orient):
+            k = _oracle_staples(cfg, orient)[:, mask]
+            kappa = scale * np.abs(k)
+            out = rng.vonmises(-np.angle(k), np.maximum(kappa, 1e-12))
+            flat = kappa < 1e-12
+            if np.any(flat):
+                out = np.where(flat, rng.uniform(-np.pi, np.pi, k.shape), out)
+            arr[:, mask] = out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([U1, SU2, SO3]), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_sublattice_sweeps_match_full_field_oracle(spec, width, height, seed):
+    # the strided sublattice sweeps give the links, acceptances and
+    # generator state of the full-field masked sweeps, bit for bit
+    params = ActionParams(spec, 0.7)
+    runs = []
+    for metropolis, heatbath in ((sweep_metropolis, sweep_heatbath_u1),
+                                 (_oracle_metropolis, _oracle_heatbath)):
+        rng = np.random.default_rng(seed)
+        cfg = init_config(LatticeBox(width, height), params, "hot", rng, chains=2)
+        accs = []
+        for _ in range(3):
+            accs.append(metropolis(cfg, rng, 0.5))
+            if spec == U1:
+                heatbath(cfg, rng)
+        runs.append(([a.tobytes() for a in cfg.links], accs,
+                     rng.bit_generator.state))
+    assert runs[0] == runs[1]
 
 
 def test_plaquette_expectation_heatbath_u1():
@@ -229,3 +333,18 @@ def test_estimate_of_iid_series():
     est = make_estimate(x)
     assert abs(est.mean) < 4.0 / np.sqrt(x.size)
     assert 0.5 < est.sigma / est.sigma_naive < 2.0
+
+
+def test_run_chain_meta_reports_acceptance_and_sweeps():
+    sched = MCSchedule(sweeps=12, burn_in=40, thin=3, chains=2, seed=3)
+    _, meta = run_chain(ActionParams(SU2, 0.7), [plaquette_loop((0, 0))], sched,
+                        margin=1)
+    assert 0.0 < meta["acceptance_burn_in"] < 1.0
+    assert 0.0 < meta["acceptance_measure"] < 1.0
+    assert meta["sweeps"] == 52
+    _, meta = run_chain(ActionParams(U1, 0.7), [plaquette_loop((0, 0))], sched,
+                        margin=1)
+    assert meta["algorithm"] == "heatbath"
+    assert meta["proposal_scale"] is None
+    assert meta["acceptance_burn_in"] is None and meta["acceptance_measure"] is None
+
