@@ -45,10 +45,6 @@ class ActionParams:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
-    @property
-    def beta_lat(self) -> float:
-        return self.epsilon**-2
-
 
 def _require_ladder(spec: GroupSpec):
     if (spec.family, spec.n) not in SUPPORTED_LADDERS:

@@ -9,7 +9,9 @@ winding number of the loop around each face enters:
     E W  =  prod_F a_{n_F}(eps)^{t_F / eps^2}      (lattice)
     E W  =  prod_F exp(-n_F^2 t_F / 2)             (continuum)
 
-Faces are computed by flood fill over unit cells.  Winding numbers form one
+Faces are the connected components of the unit cells of the loop's
+bounding box, with the occupied edges as walls: one scipy.ndimage.label
+call on a doubled grid of cells and walls.  Winding numbers form one
 integer field over the cells: the winding around the cell (i, j) is the
 signed count of the horizontal bonds in column i at heights y <= j (+1 for
 a bond going right, -1 for one going left), a running sum up each column.
@@ -23,18 +25,20 @@ convergence experiments.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from loopfield.groups import GroupSpec
 from loopfield.action import (ActionParams, char_coefficient, standard_label,
                               heat_kernel_eval, heat_kernel_theta_derivative_u1)
-from loopfield.loops import (Loop, LoopString, as_string, CrossingAnnotation,
-                             make_loop, _canonical_rotation)
+from loopfield.loops import (DIR_CHARS, DIRS, Loop, LoopString, as_string,
+                             CrossingAnnotation, make_loop, _canonical_rotation)
 
 
 class DriverError(ValueError):
@@ -45,31 +49,96 @@ class DriverError(ValueError):
 # planar graphs of lattice loops
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaceData:
-    cells: frozenset  # unit cells (i, j), the square [i, i+1] x [j, j+1]
     winding: int
+    plaquettes: int
+    label: int  # the face's label in ids
+    origin: tuple = field(repr=False)  # the cell (x0, y0) at ids[0, 0]
+    ids: np.ndarray = field(repr=False)  # the face label of every cell of the box
 
-    @property
-    def plaquettes(self) -> int:
-        return len(self.cells)
+    @cached_property
+    def cells(self) -> frozenset:
+        """Unit cells (i, j), the squares [i, i+1] x [j, j+1], of this face."""
+        i, j = np.nonzero(self.ids == self.label)
+        return frozenset(zip((i + self.origin[0]).tolist(),
+                             (j + self.origin[1]).tolist()))
 
 
-@dataclass
+class _CellToFace(Mapping):
+    """cell (i, j) -> index in graph.faces, read off the label array on each
+    lookup, so that no per-cell dict is built."""
+
+    def __init__(self, graph):
+        self._graph = graph
+        self._index = {f.label: k for k, f in enumerate(graph.faces)}
+
+    def __getitem__(self, cell):
+        g = self._graph
+        i, j = cell[0] - g.origin[0], cell[1] - g.origin[1]
+        if g.ids is not None and 0 <= i < g.ids.shape[0] and 0 <= j < g.ids.shape[1]:
+            face = self._index.get(int(g.ids[i, j]))
+            if face is not None:
+                return face
+        raise KeyError(cell)
+
+    def __iter__(self):
+        for f in self._graph.faces:
+            yield from f.cells
+
+    def __len__(self):
+        return sum(f.plaquettes for f in self._graph.faces)
+
+
+@dataclass(eq=False)
 class PlanarLoopGraph:
     subject: object
     faces: list  # bounded faces only
-    cell_to_face: dict
-    vertex_count: int
-    edge_count: int
-    component_count: int
+    origin: tuple = (0, 0)
+    ids: np.ndarray | None = None  # the face label of every cell of the box
+
+    @cached_property
+    def cell_to_face(self) -> Mapping:
+        """The index in faces of each cell of a bounded face."""
+        return _CellToFace(self)
 
     def face_of_cell(self, cell):
         return self.cell_to_face.get(tuple(cell))
 
+    @cached_property
+    def _edge_graph(self):
+        """(vertices, edges, components) of the occupied-edge graph."""
+        occ = _occupied_edges(self.subject)
+        adj = {}
+        for (base, axis) in occ:
+            a = base
+            b = (base[0] + 1, base[1]) if axis == "H" else (base[0], base[1] + 1)
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        seen = set()
+        ncomp = 0
+        for v in adj:
+            if v in seen:
+                continue
+            ncomp += 1
+            stack = [v]
+            seen.add(v)
+            while stack:
+                u = stack.pop()
+                for w in adj[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return len(adj), len(occ), ncomp
+
+    @property
+    def component_count(self) -> int:
+        return self._edge_graph[2]
+
     def euler_characteristic(self) -> int:
         # V - E + F with the unbounded faces (one per planar component group)
-        return self.vertex_count - self.edge_count + len(self.faces) + 1
+        vertices, edges, _ = self._edge_graph
+        return vertices - edges + len(self.faces) + 1
 
     def boundaries(self):
         """Occupied undirected edges bordering each face, for fixture dumps."""
@@ -117,15 +186,12 @@ def _occupied_edges(obj):
     return {_edge_key(b) for b in _all_bonds(obj)}
 
 
-def winding_number(obj):
-    """The winding-number field of a loop or string over its bounding box.
+def _bond_arrays(obj):
+    """x, y and direction d of every bond of a loop or string, as int arrays."""
+    return np.array(list(_all_bonds(obj)), dtype=np.int64).reshape(-1, 3).T
 
-    Returns ((x0, y0), w) with w[i - x0, j - y0] the winding number around
-    the unit cell (i, j): the signed count of the horizontal bonds in column
-    i at heights y <= j, +1 going right and -1 going left.  The box keeps a
-    margin of one cell on every side, so its border cells are unbounded.
-    """
-    x, y, d = np.array(list(_all_bonds(obj)), dtype=np.int64).reshape(-1, 3).T
+
+def _winding_field(x, y, d):
     x0, y0 = x.min() - 1, y.min() - 1  # closed loops: every vertex starts a bond
     w = np.zeros((x.max() + 1 - x0, y.max() + 1 - y0), dtype=np.int64)
     right, left = d == 0, d == 2
@@ -134,74 +200,79 @@ def winding_number(obj):
     return (int(x0), int(y0)), np.cumsum(w, axis=1)
 
 
+def winding_number(obj):
+    """The winding-number field of a loop or string over its bounding box.
+
+    Returns ((x0, y0), w) with w[i - x0, j - y0] the winding number around
+    the unit cell (i, j): the signed count of the horizontal bonds in column
+    i at heights y <= j, +1 going right and -1 going left.  The box keeps a
+    margin of one cell on every side, so its border cells are unbounded.
+    """
+    return _winding_field(*_bond_arrays(obj))
+
+
+_STEPS = np.array(DIRS, dtype=np.int64)
+
+
+@lru_cache(maxsize=8)
+def _pop_order(x0, y0, nx, ny):
+    """The cells of the box [x0, x0 + nx) x [y0, y0 + ny) in the iteration
+    order of the set of their (i, j) tuples, as positions i' * ny + j' of
+    the box (i' = i - x0, j' = j - y0).
+
+    The faces of build_graph come in the order in which a flood fill would
+    pop its seeds from that set, and the face order is the order of the
+    factors in U1Backend.expectation_of_graph, so it fixes the last bits of
+    every exact value.  That order is CPython's: tuple hashing and the slot
+    order of a set filled in row order, which set.pop walks from the front
+    and which no later removal reorders.  Another interpreter may give
+    other bits.
+    """
+    cells = set(itertools.product(range(x0, x0 + nx), range(y0, y0 + ny)))
+    ij = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int32,
+                     count=2 * nx * ny).reshape(-1, 2)
+    order = (ij[:, 0] - x0) * ny + (ij[:, 1] - y0)
+    order.flags.writeable = False
+    return order
+
+
 def build_graph(obj) -> PlanarLoopGraph:
-    """Faces (flood fill over cells) and winding numbers of a loop or string."""
+    """Faces and winding numbers of a loop or string.
+
+    The cells of the winding box sit at the odd positions of a doubled
+    grid, the walls between them at the mixed ones; a wall is closed where
+    an occupied edge lies.  scipy.ndimage.label then gives each face one
+    label, and the box's margin cell labels the unbounded face.
+    """
+    from scipy import ndimage  # here, so that importing loopfield stays light
+
     string = as_string(obj)
-    loops = [l for l in string if not l.is_trivial]
-    if not loops:
-        return PlanarLoopGraph(obj, [], {}, 0, 0, 0)
-    occ = _occupied_edges(string)
-    (x0, y0), wind = winding_number(string)
-    x1, y1 = x0 + wind.shape[0], y0 + wind.shape[1]
+    if all(l.is_trivial for l in string):
+        return PlanarLoopGraph(obj, [])
+    x, y, d = _bond_arrays(string)
+    (x0, y0), wind = _winding_field(x, y, d)
+    nx, ny = wind.shape
+    grid = np.zeros((2 * nx + 1, 2 * ny + 1), dtype=bool)
+    grid[1::2, 1:-1] = True  # cells, and the walls between j and j + 1
+    grid[1:-1, 1::2] = True  # cells, and the walls between i and i + 1
+    step = _STEPS[d]
+    grid[2 * (x - x0) + step[:, 0], 2 * (y - y0) + step[:, 1]] = False
+    ids = np.ascontiguousarray(ndimage.label(grid)[0][1::2, 1::2])
 
-    def blocked(cell, ncell):
-        (i, j), (k, l) = cell, ncell
-        if k == i + 1:
-            return ((i + 1, j), "V") in occ
-        if k == i - 1:
-            return ((i, j), "V") in occ
-        if l == j + 1:
-            return ((i, j + 1), "H") in occ
-        return ((i, j), "H") in occ
-
-    unassigned = {(i, j) for i in range(x0, x1) for j in range(y0, y1)}
+    order = _pop_order(x0, y0, nx, ny)
+    labels, first = np.unique(ids.ravel()[order], return_index=True)
+    rank = np.argsort(first)
+    plaquettes = np.bincount(ids.ravel())
+    outer = ids[0, 0]
     faces = []
-    cell_to_face = {}
-    while unassigned:
-        seed = unassigned.pop()
-        comp = {seed}
-        stack = [seed]
-        touches_border = False
-        while stack:
-            i, j = stack.pop()
-            if i in (x0, x1 - 1) or j in (y0, y1 - 1):
-                touches_border = True
-            for ncell in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if ncell in unassigned and not blocked((i, j), ncell):
-                    unassigned.discard(ncell)
-                    comp.add(ncell)
-                    stack.append(ncell)
-        n = int(wind[seed[0] - x0, seed[1] - y0])
-        if touches_border:
+    for label, cell in zip(labels[rank].tolist(), order[first[rank]].tolist()):
+        n = int(wind.flat[cell])
+        if label == outer:
             if n != 0:
                 raise DriverError("unbounded face with nonzero winding")
             continue
-        for c in comp:
-            cell_to_face[c] = len(faces)
-        faces.append(FaceData(frozenset(comp), n))
-
-    # connectivity of the occupied-edge graph, for the Euler bookkeeping
-    adj = {}
-    for (base, axis) in occ:
-        a = base
-        b = (base[0] + 1, base[1]) if axis == "H" else (base[0], base[1] + 1)
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    seen = set()
-    ncomp = 0
-    for v in adj:
-        if v in seen:
-            continue
-        ncomp += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return PlanarLoopGraph(obj, faces, cell_to_face, len(adj), len(occ), ncomp)
+        faces.append(FaceData(n, int(plaquettes[label]), label, (x0, y0), ids))
+    return PlanarLoopGraph(obj, faces, (x0, y0), ids)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +450,14 @@ class CrossingGeometry:
     def lattice_faces(self):
         return [(f.plaquettes * self.epsilon**2, f.winding) for f in self.graph.faces]
 
+    def realized(self) -> dict:
+        """The shape built at this eps: [plaquettes, winding] of each bounded
+        face and its area plaquettes * eps^2 (small areas are clamped to a
+        minimum plaquette count, so these can exceed the requested ones)."""
+        return {"epsilon": self.epsilon,
+                "faces": [[f.plaquettes, f.winding] for f in self.graph.faces],
+                "areas": [t for t, _ in self.lattice_faces()]}
+
 
 def _annotated_loops(*components):
     """Canonical loops, one per list of (bonds, span) pieces, and the
@@ -412,7 +491,6 @@ def _crossing_loop(e_first, lobe_a, e_second, lobe_b):
 
 def _path(start, moves):
     """Bond list from a start vertex and a move string."""
-    from loopfield.loops import DIR_CHARS, DIRS
     x, y = start
     word = []
     for ch in moves:

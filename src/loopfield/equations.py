@@ -77,13 +77,6 @@ class EquationReport:
     residual_sigma: float
     metadata: dict
 
-    def as_rows(self):
-        rows = []
-        for t, v in zip(self.terms, self.values):
-            rows.append({"tag": t.tag, "coefficient": t.coefficient,
-                         "value": v.mean, "sigma": v.sigma})
-        return rows
-
 
 def assemble(spec: EquationSpec):
     """Term list of the master loop equation at the fixed bond site."""
@@ -389,6 +382,7 @@ def convergence_crossing(eps_list, t2: float = 0.5, t4: float = 0.5,
             "gap_combos": max((abs(v - target) for v in combos), default=0.0),
             "triple_spread": max(triple_values) - min(triple_values),
             "exactness": max(abs(v - split_val) for v in triple_values),
+            "geometry": geometry.realized(),
         })
     return {"family": "figure-eight", "rows": rows}
 
@@ -476,6 +470,7 @@ def convergence_merger(eps_list, side: float = 1.5, overlap: float = 0.75):
             "gap_general": abs(comb2 - target),
             "merger_term": merger_val,
             "exactness": abs(comb - merger_val),
+            "geometry": geometry.realized(),
         })
     return {"rows": rows}
 

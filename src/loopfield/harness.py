@@ -430,7 +430,7 @@ def run_converge_crossing(cfg):
     for key in ("gap_e", "gap_e1", "gap_e3"):
         clauses.append(_decreasing(f"deformation limit sweep {key} decreasing",
                                    [r[key] for r in im["rows"]]))
-    return rows, clauses, {}
+    return rows, clauses, {"geometry": [r["geometry"] for r in rep["rows"]]}
 
 
 def run_converge_merger(cfg):
@@ -454,7 +454,7 @@ def run_converge_merger(cfg):
     gap_gen = rep["rows"][-1]["gap_general"]
     clauses.append(Clause("general combination shares the limit",
                           gap_gen < final_tol, f"{gap_gen:.2e}"))
-    return rows, clauses, {}
+    return rows, clauses, {"geometry": [r["geometry"] for r in rep["rows"]]}
 
 
 def run_gauss_lemma(cfg):

@@ -64,15 +64,16 @@ def _erase_backtracking(word):
 
 
 def _canonical_rotation(word):
-    n = len(word)
-    best = None
-    best_i = 0
-    for i in range(n):
-        cand = word[i:] + word[:i]
-        if best is None or cand < best:
-            best = cand
-            best_i = i
-    return tuple(best), best_i
+    """The least rotation of a nonempty word and the first index it starts at.
+
+    The least rotation starts at a least bond, so only those starts are
+    compared; a periodic word keeps its first such index.
+    """
+    word = tuple(word)
+    least = min(word)
+    start = min((i for i, b in enumerate(word) if b == least),
+                key=lambda i: word[i:] + word[:i])
+    return word[start:] + word[:start], start
 
 
 class Loop:

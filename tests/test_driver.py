@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopfield.groups import GroupSpec
-from loopfield.loops import (make_loop, make_loop_from_moves, plaquette_loop,
-                             LoopString, as_string, bond_inverse, occurrences,
-                             random_loop)
-from loopfield.driver import (build_graph, winding_number, U1Backend,
+from loopfield.loops import (DIRS, Loop, make_loop, make_loop_from_moves,
+                             plaquette_loop, LoopString, as_string, bond_inverse,
+                             occurrences, random_loop)
+from loopfield.driver import (build_graph, winding_number, U1Backend, _pop_order,
                               u1_expectation_discrete, u1_expectation_continuum,
                               u1_bruteforce_expectation, simple_loop_expectation,
                               area_derivative, continuum_product,
@@ -91,6 +91,93 @@ def test_winding_field_properties(seed, hx, hy, offset):
         {cells: -n for cells, n in windings.items()}
     assert _face_windings(LoopString(make_loop(l.word * 2) for l in loops)) == \
         {cells: 2 * n for cells, n in windings.items()}
+
+
+def _flood_fill_faces(subject):
+    """The former build_graph, kept as an oracle: a flood fill over the cells
+    of the winding box, with its seeds popped from the set of their (i, j)
+    tuples.  Returns (cells, winding) of the bounded faces, in order."""
+    from loopfield.driver import _edge_key
+    occ = {_edge_key(b) for l in as_string(subject) for b in l.word}
+    (x0, y0), wind = winding_number(subject)
+    x1, y1 = x0 + wind.shape[0], y0 + wind.shape[1]
+    unassigned = {(i, j) for i in range(x0, x1) for j in range(y0, y1)}
+    faces = []
+    while unassigned:
+        seed = unassigned.pop()
+        comp, stack, border = {seed}, [seed], False
+        while stack:
+            i, j = stack.pop()
+            border |= i in (x0, x1 - 1) or j in (y0, y1 - 1)
+            for di, dj in DIRS:
+                cell = (i + di, j + dj)
+                wall = ((i + max(di, 0), j + max(dj, 0)), "V" if di else "H")
+                if cell in unassigned and wall not in occ:
+                    unassigned.discard(cell)
+                    comp.add(cell)
+                    stack.append(cell)
+        n = int(wind[seed[0] - x0, seed[1] - y0])
+        if border:
+            if n != 0:
+                raise DriverError("unbounded face with nonzero winding")
+            continue
+        faces.append((frozenset(comp), n))
+    return faces
+
+
+def _faces_or_error(build, subject):
+    try:
+        return build(subject)
+    except DriverError:
+        return "DriverError"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 5),
+       st.sampled_from(["loop", "pair", "doubled", "open"]),
+       st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+def test_build_graph_matches_flood_fill(seed, hx, hy, kind, offset):
+    # random loops, two-loop strings whose second loop is shifted by up to 4
+    # (so bonds may be shared), doubled words, and open paths (DriverError)
+    rng = np.random.default_rng(seed)
+    loop = random_loop(rng, hx, hy)
+    if kind == "pair":
+        dx, dy = offset
+        subject = LoopString((loop, make_loop(
+            [(x + dx, y + dy, d) for x, y, d in random_loop(rng, hx, hy).word])))
+    elif kind == "doubled":
+        subject = make_loop(loop.word * 2)
+    elif kind == "open":
+        subject = Loop(loop.word[:1 + seed % (len(loop.word) - 1)])
+    else:
+        subject = loop
+    expected = _faces_or_error(_flood_fill_faces, subject)
+    graph = _faces_or_error(build_graph, subject)
+    if expected == "DriverError" or graph == "DriverError":
+        assert graph == expected
+        return
+    assert [(f.cells, f.winding, f.plaquettes) for f in graph.faces] == \
+        [(cells, n, len(cells)) for cells, n in expected]
+    assert graph.cell_to_face == {c: k for k, (cells, _) in enumerate(expected)
+                                  for c in cells}
+
+
+def test_build_graph_unbounded_winding_error():
+    # an open path, up then right: the unbounded face's first cell winds once
+    path = Loop(((0, 0, 1), (0, 1, 0)))
+    with pytest.raises(DriverError, match="unbounded face"):
+        _flood_fill_faces(path)
+    with pytest.raises(DriverError, match="unbounded face"):
+        build_graph(path)
+
+
+@pytest.mark.parametrize("box", [(-1, -1, 4, 4), (-7, 3, 9, 5), (2, -5, 6, 11),
+                                 (5, 8, 3, 2), (-30, -12, 40, 25)])
+def test_pop_order_is_set_iteration_order(box):
+    x0, y0, nx, ny = box
+    cells = {(i, j) for i in range(x0, x0 + nx) for j in range(y0, y0 + ny)}
+    assert _pop_order(*box).tolist() == [(i - x0) * ny + (j - y0)
+                                         for i, j in cells]
 
 
 def test_euler_relation_all_families():

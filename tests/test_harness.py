@@ -1,6 +1,8 @@
 import json
 import os
 import runpy
+import subprocess
+import sys
 from collections.abc import Mapping
 
 import pytest
@@ -86,6 +88,47 @@ def test_csv_determinism(tmp_path):
     a = (tmp_path / "a" / "det.csv").read_bytes()
     b = (tmp_path / "b" / "det.csv").read_bytes()
     assert a == b
+
+
+def test_realized_geometry_in_json(tmp_path):
+    # far below the lattice scale the lobes are clamped to 2 plaquettes, and
+    # the report says so; the CSV gains no column
+    cfgp = _write(tmp_path, "[experiment]\nname = converge-crossing\n"
+                            "[grid]\nepsilons = 0.25 0.125\n"
+                            "[geometry]\nt2 = 1e-4\nt4 = 1e-4\n"
+                            "[output]\npath = cross\n")
+    run_experiment(cfgp, out_dir=str(tmp_path))
+    report = json.loads((tmp_path / "cross.json").read_text())
+    assert [g["epsilon"] for g in report["geometry"]] == [0.25, 0.125]
+    for g in report["geometry"]:
+        assert sorted(g["faces"]) == [[2, -1], [2, 1]]
+        assert g["areas"] == [2 * g["epsilon"]**2] * 2
+    header = (tmp_path / "cross.csv").read_text().splitlines()[0]
+    assert header.split(",") == list(CSV_COLUMNS)
+
+    cfgp = _write(tmp_path, "[experiment]\nname = converge-merger\n"
+                            "[grid]\nepsilons = 0.25 0.125\n"
+                            "[output]\npath = merge\n")
+    run_experiment(cfgp, out_dir=str(tmp_path))
+    report = json.loads((tmp_path / "merge.json").read_text())
+    assert [g["epsilon"] for g in report["geometry"]] == [0.25, 0.125]
+    for g in report["geometry"]:
+        # two squares of side 1.5 / eps bonds: winding 1, 1 and 2 on the overlap
+        assert sorted(n for _, n in g["faces"]) == [1, 1, 2]
+        assert sum(p * n for p, n in g["faces"]) == 2 * round(1.5 / g["epsilon"])**2
+        assert g["areas"] == [p * g["epsilon"]**2 for p, _ in g["faces"]]
+
+
+def test_harness_import_leaves_ndimage_unloaded():
+    # build_graph imports scipy.ndimage itself; a top-level import would add
+    # its load time to every command-line call
+    import loopfield
+    src = os.path.dirname(os.path.dirname(loopfield.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, loopfield.harness; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_fixture_generation(tmp_path):

@@ -9,7 +9,8 @@ from loopfield.loops import (Loop, LoopError, TRIVIAL_LOOP, bond_inverse,
                              split_negative, merge_positive, merge_negative,
                              twist_positive, twist_negative, deformation_sets,
                              expansion_sets, LoopString, string_split,
-                             string_merge, random_loop, compatible_triples)
+                             string_merge, random_loop, compatible_triples,
+                             _canonical_rotation)
 from loopfield.driver import make_figure_eight
 
 
@@ -61,6 +62,30 @@ def test_random_loop_round_trip_and_invariants(seed):
     n = len(loop.word)
     for i in range(n):
         assert loop.word[(i + 1) % n] != bond_inverse(loop.word[i])
+
+
+def _scan_rotation(word):
+    """The former _canonical_rotation: every rotation compared, first least kept."""
+    best, best_i = None, 0
+    for i in range(len(word)):
+        cand = word[i:] + word[:i]
+        if best is None or cand < best:
+            best, best_i = cand, i
+    return tuple(best), best_i
+
+
+_BONDS = st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_BONDS, min_size=1, max_size=6), st.integers(1, 4),
+       st.lists(_BONDS, max_size=3))
+def test_canonical_rotation_matches_full_scan(period, repeats, tail):
+    # periodic words (a period repeated), and ones whose least bond repeats
+    for word in (period * repeats, period * repeats + tail, tail + period * repeats):
+        if word:
+            assert _canonical_rotation(word) == _scan_rotation(word)
+            assert _canonical_rotation(list(word)) == _scan_rotation(list(word))
 
 
 def _figure_eight_parts():
