@@ -9,6 +9,14 @@ same bits as a call on that element alone.  The Lie-algebra inner product is
 <X, Y> = (beta_g * N / 2) * Tr(X^* Y), which for the unitary families
 (beta_g = 2) reduces to N * Tr(X Y^*).  All frames built here are
 orthonormal with respect to that inner product.
+
+SU(2) elements also have a row form.  In Cayley-Klein form
+U = [[a, b], [-b*, a*]], so the first row (a, b) fixes U, and products,
+inverses and exponentials of rows are a few elementwise complex operations
+on stacks of shape (..., 2).  A 2x2 `@` on a stack costs one BLAS call per
+element, so the Metropolis sweep works on rows (`su2_row_multiply`,
+`su2_row_inverse`, `su2_exp_row`) and writes matrices back with
+`su2_row_matrix`.
 """
 
 from __future__ import annotations
@@ -220,6 +228,48 @@ def exp_map(spec: GroupSpec, a: np.ndarray) -> np.ndarray:
 def exp_coords(spec: GroupSpec, coords: np.ndarray) -> np.ndarray:
     """exp(sum_j coords_j L_j); coords shape (..., dim_lie)."""
     return exp_map(spec, lie_vector_matrix(spec, coords))
+
+
+def _su2_second_row(p: np.ndarray) -> np.ndarray:
+    """Second rows (-b*, a*) of the SU(2) matrices of rows (a, b)."""
+    out = np.conj(p[..., ::-1])
+    out[..., 0] = -out[..., 0]
+    return out
+
+
+def su2_row_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """First rows of the products of two SU(2) stacks given by their rows:
+    (a, b)(c, d) = a (c, d) + b (-d*, c*) = (a c - b d*, a d + b c*)."""
+    return p[..., :1] * q + p[..., 1:] * _su2_second_row(q)
+
+
+def su2_row_inverse(p: np.ndarray) -> np.ndarray:
+    """First rows of the inverses of an SU(2) stack given by its rows: (a*, -b)."""
+    out = np.conj(p)
+    out[..., 1] = -p[..., 1]
+    return out
+
+
+def su2_row_matrix(p: np.ndarray) -> np.ndarray:
+    """The SU(2) matrices [[a, b], [-b*, a*]] of a stack of rows (a, b)."""
+    out = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, :] = p
+    out[..., 1, :] = _su2_second_row(p)
+    return out
+
+
+def su2_exp_row(coords: np.ndarray) -> np.ndarray:
+    """First rows of exp_coords(SU(2), coords); coords shape (..., 3).
+
+    The first row of A = sum_j coords_j L_j carries half of |A|^2, so theta
+    is exp_map's, with the same clamp at A = 0.
+    """
+    a = np.dot(np.asarray(coords, dtype=float), lie_basis(GroupSpec("SU", 2))[:, 0, :])
+    sq = np.einsum("...i,...i->...", a, np.conj(a)).real
+    th = np.sqrt(np.maximum(sq, 1e-300))[..., None]
+    out = np.sin(th) / th * a
+    out[..., 0] += np.cos(th[..., 0])
+    return out
 
 
 def haar_sample(spec: GroupSpec, rng: np.random.Generator, size=()) -> np.ndarray:

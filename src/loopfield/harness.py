@@ -254,7 +254,8 @@ def _within(name, mean, sigma, n_sigma):
 
 def _chain_diagnostics(spec, eps, meta, estimates):
     """The JSON `diagnostics` entry of one chain run: its box, tuning,
-    acceptance, sweeps and the tau_int of each (label, Estimate) it fed."""
+    acceptance, sweeps, reunitarisation drift and the tau_int of each
+    (label, Estimate) it fed."""
     box = meta["box"]
     return {"group": str(spec), "epsilon": eps, "box": [box.width, box.height],
             "algorithm": meta["algorithm"],
@@ -262,6 +263,7 @@ def _chain_diagnostics(spec, eps, meta, estimates):
             "acceptance_burn_in": meta["acceptance_burn_in"],
             "acceptance_measure": meta["acceptance_measure"],
             "sweeps": meta["sweeps"],
+            "reunitarize_drift": meta["reunitarize_drift"],
             "tau_int": {label: est.tau_int for label, est in estimates}}
 
 
@@ -785,6 +787,29 @@ EXPERIMENTS = {
 }
 
 
+def _provenance(config_path, cfg):
+    """The JSON `provenance` of one run: package, Python, numpy and scipy
+    versions, the sha256 of the config file, the [mc] and [random] seeds
+    (None where the experiment has none) and the thread variables (None
+    where unset).  Imports here, not at module level, keep them out of the
+    import time of the harness."""
+    import hashlib
+    import sys
+
+    import scipy
+
+    import loopfield
+    with open(config_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    return {"loopfield": loopfield.__version__, "python": sys.version.split()[0],
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "config_sha256": digest,
+            "seeds": {section: cfg.get(section, {}).get("seed")
+                      for section in ("mc", "random")},
+            "threads": {var: os.environ.get(var) for var in
+                        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 def run_experiment(config_path: str, out_dir: str | None = None) -> int:
     try:
         name, cfg = load_config(config_path)
@@ -805,6 +830,7 @@ def run_experiment(config_path: str, out_dir: str | None = None) -> int:
         return EXIT_NUMERICAL
     extra = dict(extra)
     extra["runtime_seconds"] = time.time() - t0
+    extra["provenance"] = _provenance(config_path, cfg)
     write_reports(out_base, _rows_with_rates(rows), clauses, extra)
     for c in clauses:
         print(c.line())

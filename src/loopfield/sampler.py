@@ -19,6 +19,16 @@ The group operations (Haar draws for the hot start, the exponential map,
 the adjoint and the polar projection in `reunitarize`) are the batched ones
 in `loopfield.groups`, applied to whole link arrays at once.
 
+One routine, `_staples`, holds the plaquette geometry of the staples for
+any product and inverse.  SO(3) passes its link matrices with `@`.  SU(2)
+links are stored as 2x2 matrices, but the SU(2) sweep passes their first
+rows (a, b) with the Cayley-Klein row operations of `loopfield.groups`,
+since a 2x2 `@` on a stack costs one BLAS call per link and the rows cost a
+few elementwise complex operations per stack; it weighs proposals by
+Re Tr(U K) = 2 Re(a alpha - b beta*) and writes accepted links back as
+matrices.  The draws and the accept/reject decisions are those of the
+matrix arithmetic; only the rounding of the SU(2) links differs.
+
 Wilson loops and strings are measured on a thinned schedule after burn-in;
 estimates carry naive and blocked standard errors plus an integrated
 autocorrelation time.
@@ -31,12 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from loopfield.groups import GroupSpec, exp_coords, haar_sample, inverse, project_to_group
+from loopfield.groups import (GroupSpec, adjoint_deviation, exp_coords,
+                              haar_sample, inverse, project_to_group,
+                              su2_exp_row, su2_row_inverse, su2_row_matrix,
+                              su2_row_multiply)
 from loopfield.action import ActionParams, action_exponent_scale
 from loopfield.loops import as_string, bond_start, bond_end
 
 
 PROPOSAL_SCALE = 0.6  # initial Metropolis step width in Lie-algebra coordinates
+SU2 = GroupSpec("SU", 2)
 
 
 class SamplerError(ValueError):
@@ -226,30 +240,41 @@ def _staple_u1(cfg, orient, parity):
     return k
 
 
-def _staples_matrix(cfg, orient, parity):
-    """Matrix staples of one sublattice: Re Tr(U K) sums the affected plaquette traces."""
-    links = cfg.links
+def _staples(links, orient, parity, mul, inv):
+    """Staples K of one sublattice, for links multiplied by `mul` and
+    inverted by `inv`: Re Tr(U K) sums the affected plaquette traces.
+
+    The matrix groups pass their link matrices with `np.matmul` and
+    `inverse`; SU(2) passes the first rows of its links with the row
+    operations, and gets the first rows of its staples, since a sum of
+    SU(2) matrices keeps the Cayley-Klein form.
+    """
     k = np.zeros(links[orient][_sublattice(orient, parity)].shape, dtype=links[0].dtype)
     if orient == 0:
         # Qp(x, y) = U0[x,y] U1[x+1,y] U0[x,y+1]^* U1[x,y]^*  (bond first)
         _, b, c, d = _plaquette_sides(links, 0, parity)
-        t = b @ inverse(c) @ inverse(d)
+        t = mul(mul(b, inv(c)), inv(d))
         k[:, :, :t.shape[2]] += t
         # Qp(x, y-1) = U0[x,y-1] U1[x+1,y-1] U0[x,y]^* U1[x,y-1]^*; cyclic so
         # Tr = Tr(U0[x,y]^* A) with A = U1[x,y-1]^* U0[x,y-1] U1[x+1,y-1];
         # Re Tr(U0^* A) = Re Tr(U0 A^*), so the staple adds A^*.
         a, b, _, d = _plaquette_sides(links, 0, 1 - parity)
-        k[:, :, 1 - parity:] += inverse(inverse(d) @ a @ b)
+        k[:, :, 1 - parity:] += inv(mul(mul(inv(d), a), b))
         return k
     # Qp(x, y) = U0[x,y] U1[x+1,y] U0[x,y+1]^* U1[x,y]^*: vertical bond (x+1, y)
     # enters as U1[x+1,y]: Tr = Tr(U1[x+1,y] B), B = U0[x,y+1]^* U1[x,y]^* U0[x,y]
     a, _, c, d = _plaquette_sides(links, 1, 1 - parity)
-    k[:, 1 - parity:] += inverse(c) @ inverse(d) @ a
+    k[:, 1 - parity:] += mul(mul(inv(c), inv(d)), a)
     # and as U1[x,y]^*: Tr = Tr(U1[x,y]^* C), C = U0[x,y] U1[x+1,y] U0[x,y+1]^*
     a, b, c, _ = _plaquette_sides(links, 1, parity)
-    t = inverse(a @ b @ inverse(c))
+    t = inv(mul(mul(a, b), inv(c)))
     k[:, :t.shape[1]] += t
     return k
+
+
+def _su2_row_trace(u, k):
+    """Re Tr(U K) = 2 Re(a alpha - b beta*) for rows u = (a, b), k = (alpha, beta)."""
+    return 2.0 * np.real(u[..., 0] * k[..., 0] - u[..., 1] * np.conj(k[..., 1]))
 
 
 def sweep_metropolis(cfg: LatticeConfiguration, rng: np.random.Generator,
@@ -279,8 +304,18 @@ def sweep_metropolis(cfg: LatticeConfiguration, rng: np.random.Generator,
                                 - np.real(np.exp(1j * theta) * k))
                 acc = np.log(rng.uniform(size=theta.shape)) < logw
                 arr[sub] = np.where(acc, prop, theta)
+            elif spec == SU2:
+                k = _staples([a[..., 0, :] for a in cfg.links], orient, parity,
+                             su2_row_multiply, su2_row_inverse)
+                u = arr[sub]
+                row = u[..., 0, :]
+                coords = rng.normal(0.0, proposal_scale, row.shape[:-1] + (3,))
+                prop = su2_row_multiply(su2_exp_row(coords), row)
+                logw = scale * (_su2_row_trace(prop, k) - _su2_row_trace(row, k))
+                acc = np.log(rng.uniform(size=logw.shape)) < logw
+                arr[sub] = np.where(acc[..., None, None], su2_row_matrix(prop), u)
             else:
-                k = _staples_matrix(cfg, orient, parity)
+                k = _staples(cfg.links, orient, parity, np.matmul, inverse)
                 u = arr[sub]
                 coords = rng.normal(0.0, proposal_scale,
                                     u.shape[:-2] + (spec.dim_lie,))
@@ -295,17 +330,22 @@ def sweep_metropolis(cfg: LatticeConfiguration, rng: np.random.Generator,
     return accepted / max(total, 1)
 
 
-def reunitarize(cfg: LatticeConfiguration):
-    """Polar-project every link back onto the group (drift control).
+def reunitarize(cfg: LatticeConfiguration) -> float:
+    """Polar-project every link back onto the group (drift control), and
+    return the largest |U U^* - I| that the projection removed.
 
     Long Metropolis chains accumulate roundoff in the link matrices; this
     is applied periodically (every few thousand sweeps) inside run_chain.
+    U(1) angles cannot leave the group, so there it does nothing and
+    returns 0.
     """
+    drift = 0.0
     if cfg.is_u1:
-        return cfg
+        return drift
     for arr in cfg.links:
+        drift = max(drift, adjoint_deviation(arr))
         arr[...] = project_to_group(arr, cfg.spec)
-    return cfg
+    return drift
 
 
 def sweep_heatbath_u1(cfg: LatticeConfiguration, rng: np.random.Generator):
@@ -413,8 +453,9 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
     heat bath; for the other groups the proposal width is tuned toward 50%
     acceptance during burn-in only.  meta holds the final proposal width,
     the mean Metropolis acceptance over the burn-in and over the measurement
-    sweeps (each None for the heat bath, or when there were no such sweeps)
-    and the number of sweeps.
+    sweeps (each None for the heat bath, or when there were no such sweeps),
+    the number of sweeps and the largest drift `reunitarize` removed (None
+    when no projection ran).
     """
     box, offset = box_for_subjects(subjects, margin=margin)
     rng = np.random.default_rng(schedule.seed)
@@ -435,6 +476,7 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
                 scale = min(max(scale, 1e-3), 4.0)
     rows = []
     meas_acc = []
+    drifts = []
     n_meas = schedule.sweeps // schedule.thin
     sweeps_done = 0
     for m in range(n_meas):
@@ -445,7 +487,7 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
                 meas_acc.append(sweep_metropolis(cfg, rng, scale))
             sweeps_done += 1
             if not use_hb and sweeps_done % 2500 == 0:
-                reunitarize(cfg)
+                drifts.append(reunitarize(cfg))
         rows.append(np.stack([o.measure(cfg) for o in obs]))
         if progress is not None:
             progress(m, n_meas)
@@ -455,7 +497,8 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
             "algorithm": "heatbath" if use_hb else "metropolis",
             "acceptance_burn_in": _mean_or_none(acc_hist),
             "acceptance_measure": _mean_or_none(meas_acc),
-            "sweeps": schedule.burn_in + sweeps_done}
+            "sweeps": schedule.burn_in + sweeps_done,
+            "reunitarize_drift": max(drifts, default=None)}
     return samples, meta
 
 

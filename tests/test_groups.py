@@ -7,7 +7,9 @@ from loopfield.groups import (GroupSpec, parse_group, identity, multiply, invers
                               exp_map, exp_coords, haar_sample, is_in_group,
                               directional_derivative, casimir_standard,
                               casimir_standard_expected, gaussian_lie_sample,
-                              lie_vector_matrix, project_to_group, GroupError)
+                              lie_vector_matrix, project_to_group, su2_exp_row,
+                              su2_row_inverse, su2_row_matrix, su2_row_multiply,
+                              GroupError)
 
 ALL_SPECS = [GroupSpec("U", 1), GroupSpec("U", 2), GroupSpec("U", 3),
              GroupSpec("SU", 2), GroupSpec("SU", 3),
@@ -148,6 +150,25 @@ def test_batched_ops_match_single_calls(spec, shape, seed):
     q = stack + 1e-3 * rng.standard_normal(stack.shape)
     expected = _stacked_singles(lambda m: project_to_group(m, spec), q, n)
     assert project_to_group(q, spec).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=3), st.sampled_from([0.0, 1e-9, 0.8, 4.0]),
+       st.integers(0, 2**32 - 1))
+def test_su2_rows_match_matrix_ops(shape, width, seed):
+    # the Cayley-Klein row operations give the first rows of the matrix
+    # product, inverse and exponential, and a row fixes its matrix
+    spec = GroupSpec("SU", 2)
+    shape = tuple(shape)
+    rng = np.random.default_rng(seed)
+    p, q = haar_sample(spec, rng, shape), haar_sample(spec, rng, shape)
+    coords = rng.normal(0.0, 1.0, shape + (3,)) * width
+    for got, want in ((su2_row_multiply(p[..., 0, :], q[..., 0, :]), (p @ q)[..., 0, :]),
+                      (su2_row_inverse(p[..., 0, :]), inverse(p)[..., 0, :]),
+                      (su2_exp_row(coords), exp_coords(spec, coords)[..., 0, :]),
+                      (su2_row_matrix(p[..., 0, :]), p)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_project_su3_stack():

@@ -253,8 +253,38 @@ def test_every_schema_key_is_read(tmp_path, name):
     assert seen == set(SCHEMA[name]) - {("output", "path")}
 
 
+def test_every_report_carries_provenance(tmp_path, monkeypatch):
+    # each experiment's JSON names the versions, the config bytes, the seeds
+    # and the thread settings it ran with; the CSV columns are unchanged
+    import hashlib
+    import numpy
+    import scipy
+    import loopfield
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    for name in sorted(SCHEMA):
+        path = _write(tmp_path, f"[experiment]\nname = {name}\n" + _SMALL[name]
+                      + "[output]\npath = out\n", name=f"{name}.cfg")
+        assert run_experiment(path, out_dir=str(tmp_path / name)) in (EXIT_OK, EXIT_FAIL)
+        prov = json.loads((tmp_path / name / "out.json").read_text())["provenance"]
+        assert prov["config_sha256"] == hashlib.sha256(open(path, "rb").read()).hexdigest()
+        assert (prov["loopfield"], prov["numpy"], prov["scipy"]) == (
+            loopfield.__version__, numpy.__version__, scipy.__version__)
+        assert prov["python"] == "%d.%d.%d" % sys.version_info[:3]
+        _, cfg = load_config(path)
+        assert prov["seeds"] == {s: cfg[s]["seed"] if s in cfg else None
+                                 for s in ("mc", "random")}
+        assert prov["threads"]["OMP_NUM_THREADS"] == "1"
+        assert prov["threads"]["MKL_NUM_THREADS"] is None
+        assert set(prov["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                        "MKL_NUM_THREADS"}
+        header = (tmp_path / name / "out.csv").read_text().splitlines()[0]
+        assert header == ",".join(CSV_COLUMNS)
+
+
 DIAGNOSTIC_KEYS = {"group", "epsilon", "box", "algorithm", "proposal_scale",
-                   "acceptance_burn_in", "acceptance_measure", "sweeps", "tau_int"}
+                   "acceptance_burn_in", "acceptance_measure", "sweeps",
+                   "reunitarize_drift", "tau_int"}
 
 
 @pytest.mark.parametrize("name,extra,n_chains", [

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from loopfield.groups import GroupSpec, exp_coords, haar_sample, inverse
+from loopfield.groups import (GroupSpec, exp_coords, haar_sample, inverse, is_in_group,
+                              su2_exp_row, su2_row_inverse, su2_row_matrix,
+                              su2_row_multiply)
 from loopfield.action import ActionParams, char_coefficient, partition_function, \
     unnormalized_weight, standard_label, action_exponent_scale
 from loopfield.loops import plaquette_loop, make_loop_from_moves
 from loopfield.sampler import (LatticeBox, MCSchedule, init_config,
-                               total_action, _staple_u1, _staples_matrix,
+                               total_action, _staple_u1, _staples,
                                sweep_metropolis, sweep_heatbath_u1,
                                plaquette_product, WilsonObservable,
                                box_for_subjects, run_chain, make_estimate,
@@ -69,12 +71,18 @@ def test_staples_give_local_action_change(spec):
     rng = np.random.default_rng(7)
     params = ActionParams(spec, 0.7)
     scale = action_exponent_scale(params)
-    staples = _staple_u1 if spec == U1 else _staples_matrix
     for width, height in ((3, 2), (1, 1), (1, 3), (4, 1)):
         cfg = init_config(LatticeBox(width, height), params, "hot", rng, chains=2)
         checked = 0
         for orient, parity in itertools.product((0, 1), (0, 1)):
-            k_sub = staples(cfg, orient, parity)
+            if spec == U1:
+                k_sub = _staple_u1(cfg, orient, parity)
+            elif spec == SU2:
+                # the first rows of the staples, from the first rows of the links
+                k_sub = _staples([u[..., 0, :] for u in cfg.links], orient, parity,
+                                 su2_row_multiply, su2_row_inverse)
+            else:
+                k_sub = _staples(cfg.links, orient, parity, np.matmul, inverse)
             for x, y in np.ndindex(cfg.links[orient].shape[1:3]):
                 along = y if orient == 0 else x
                 if along % 2 != parity:
@@ -84,6 +92,9 @@ def test_staples_give_local_action_change(spec):
                 if spec == U1:
                     new = rng.uniform(-np.pi, np.pi, cfg.n_chains)
                     gain = np.real(np.exp(1j * new) * k) - np.real(np.exp(1j * u) * k)
+                elif spec == SU2:
+                    new = haar_sample(spec, rng, cfg.n_chains)
+                    gain = _row_trace(new[:, 0], k) - _row_trace(u[:, 0], k)
                 else:
                     new = haar_sample(spec, rng, cfg.n_chains)
                     gain = (np.einsum("cij,cji->c", new, k).real
@@ -96,10 +107,17 @@ def test_staples_give_local_action_change(spec):
         assert checked == cfg.box.n_bonds
 
 
+def _row_trace(u, k):
+    # Re Tr(U K) = 2 Re(a alpha - b beta*) for first rows (a, b) and (alpha, beta)
+    return 2.0 * np.real(u[..., 0] * k[..., 0] - u[..., 1] * np.conj(k[..., 1]))
+
+
 # Oracle: the full-field sweeps that build the staples of every bond of an
 # orientation, then gather and scatter one parity class by a boolean mask.
+# With su2_rows=False the SU(2) branch multiplies 2x2 matrices: the
+# reference arithmetic that the Cayley-Klein row sweep must track.
 
-def _oracle_staples(cfg, orient):
+def _oracle_staples(cfg, orient, su2_rows=True):
     u0, u1 = cfg.links
     w, h = cfg.box.width, cfg.box.height
     if cfg.is_u1:
@@ -112,13 +130,16 @@ def _oracle_staples(cfg, orient):
             k[:, 1:, :] += z0[:, :, :h] * np.conj(z0[:, :, 1:]) * np.conj(z1[:, :w, :])
             k[:, :w, :] += np.conj(z0[:, :, :h] * z1[:, 1:, :] * np.conj(z0[:, :, 1:]))
         return k
-    k = np.zeros(cfg.links[orient].shape, dtype=u0.dtype)
+    mul, inv = np.matmul, inverse
+    if cfg.spec == SU2 and su2_rows:
+        u0, u1, mul, inv = u0[..., 0, :], u1[..., 0, :], su2_row_multiply, su2_row_inverse
+    k = np.zeros((u0, u1)[orient].shape, dtype=u0.dtype)
     if orient == 0:
-        k[:, :, :h] += u1[:, 1:, :] @ inverse(u0[:, :, 1:]) @ inverse(u1[:, :w, :])
-        k[:, :, 1:] += inverse(inverse(u1[:, :w, :]) @ u0[:, :, :h] @ u1[:, 1:, :])
+        k[:, :, :h] += mul(mul(u1[:, 1:, :], inv(u0[:, :, 1:])), inv(u1[:, :w, :]))
+        k[:, :, 1:] += inv(mul(mul(inv(u1[:, :w, :]), u0[:, :, :h]), u1[:, 1:, :]))
     else:
-        k[:, 1:, :] += inverse(u0[:, :, 1:]) @ inverse(u1[:, :w, :]) @ u0[:, :, :h]
-        k[:, :w, :] += inverse(u0[:, :, :h] @ u1[:, 1:, :] @ inverse(u0[:, :, 1:]))
+        k[:, 1:, :] += mul(mul(inv(u0[:, :, 1:]), inv(u1[:, :w, :])), u0[:, :, :h])
+        k[:, :w, :] += inv(mul(mul(u0[:, :, :h], u1[:, 1:, :]), inv(u0[:, :, 1:])))
     return k
 
 
@@ -127,13 +148,13 @@ def _oracle_masks(arr, orient):
     return idx % 2 == 0, idx % 2 == 1
 
 
-def _oracle_metropolis(cfg, rng, proposal_scale):
+def _oracle_metropolis(cfg, rng, proposal_scale, su2_rows=True):
     spec, scale = cfg.spec, action_exponent_scale(cfg.params)
     accepted = total = 0
     for orient in (0, 1):
         arr = cfg.links[orient]
         for mask in _oracle_masks(arr, orient):
-            km = _oracle_staples(cfg, orient)[:, mask]
+            km = _oracle_staples(cfg, orient, su2_rows)[:, mask]
             u = arr[:, mask]
             if cfg.is_u1:
                 prop = u + rng.normal(0.0, proposal_scale, u.shape)
@@ -141,6 +162,13 @@ def _oracle_metropolis(cfg, rng, proposal_scale):
                                 - np.real(np.exp(1j * u) * km))
                 acc = np.log(rng.uniform(size=u.shape)) < logw
                 arr[:, mask] = np.where(acc, prop, u)
+            elif spec == SU2 and su2_rows:
+                row = u[..., 0, :]
+                coords = rng.normal(0.0, proposal_scale, row.shape[:-1] + (3,))
+                prop = su2_row_multiply(su2_exp_row(coords), row)
+                logw = scale * (_row_trace(prop, km) - _row_trace(row, km))
+                acc = np.log(rng.uniform(size=logw.shape)) < logw
+                arr[:, mask] = np.where(acc[..., None, None], su2_row_matrix(prop), u)
             else:
                 coords = rng.normal(0.0, proposal_scale, u.shape[:-2] + (spec.dim_lie,))
                 prop = exp_coords(spec, coords) @ u
@@ -187,6 +215,27 @@ def test_sublattice_sweeps_match_full_field_oracle(spec, width, height, seed):
         runs.append(([a.tobytes() for a in cfg.links], accs,
                      rng.bit_generator.state))
     assert runs[0] == runs[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_su2_row_sweep_tracks_matrix_arithmetic(width, height, seed):
+    # the row sweep makes the accept/reject decisions of the matrix sweep and
+    # draws the same numbers; its links differ from the matrix sweep's only
+    # by rounding, and stay in SU(2)
+    params = ActionParams(SU2, 0.7)
+    runs = []
+    for metropolis in (sweep_metropolis,
+                       lambda cfg, rng, s: _oracle_metropolis(cfg, rng, s, su2_rows=False)):
+        rng = np.random.default_rng(seed)
+        cfg = init_config(LatticeBox(width, height), params, "hot", rng, chains=2)
+        accs = [metropolis(cfg, rng, 0.5) for _ in range(20)]
+        runs.append((cfg.links, accs, rng.bit_generator.state))
+    (rows, accs, state), (matrices, ref_accs, ref_state) = runs
+    assert accs == ref_accs and state == ref_state
+    for arr, ref in zip(rows, matrices):
+        assert np.max(np.abs(arr - ref)) < 1e-12
+        assert all(is_in_group(m, SU2, tol=1e-12) for m in arr.reshape(-1, 2, 2))
 
 
 def test_plaquette_expectation_heatbath_u1():
@@ -342,9 +391,20 @@ def test_run_chain_meta_reports_acceptance_and_sweeps():
     assert 0.0 < meta["acceptance_burn_in"] < 1.0
     assert 0.0 < meta["acceptance_measure"] < 1.0
     assert meta["sweeps"] == 52
+    assert meta["reunitarize_drift"] is None
     _, meta = run_chain(ActionParams(U1, 0.7), [plaquette_loop((0, 0))], sched,
                         margin=1)
     assert meta["algorithm"] == "heatbath"
     assert meta["proposal_scale"] is None
     assert meta["acceptance_burn_in"] is None and meta["acceptance_measure"] is None
 
+
+
+def test_reunitarize_reports_small_drift():
+    # one projection after 2500 measured sweeps; it removes only roundoff
+    sched = MCSchedule(sweeps=2500, burn_in=0, thin=2500, chains=2, seed=4)
+    _, meta = run_chain(ActionParams(SU2, 0.7), [plaquette_loop((0, 0))], sched,
+                        margin=0)
+    assert meta["box"] == LatticeBox(1, 1)
+    assert meta["reunitarize_drift"] is not None
+    assert 0.0 <= meta["reunitarize_drift"] <= 1e-12
