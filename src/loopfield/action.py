@@ -18,6 +18,7 @@ group inner product <X, Y> = (beta_g N / 2) Tr(X^* Y):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -121,7 +122,15 @@ def unnormalized_weight(params: ActionParams, angles):
 
 
 def partition_function(params: ActionParams, tol: float = 1e-11) -> float:
-    """Z^eps = int exp(-(beta_g N / 2 eps^2) Re Tr(I - Q)) dQ."""
+    """Z^eps = int exp(-(beta_g N / 2 eps^2) Re Tr(I - Q)) dQ.
+
+    Computed once per (params, tol); positional and keyword calls share the
+    cached value."""
+    return _partition_function(params, tol)
+
+
+@functools.cache
+def _partition_function(params: ActionParams, tol: float) -> float:
     return float(integrate_class_function(
         params.spec, lambda *a: unnormalized_weight(params, a), tol=tol))
 

@@ -589,22 +589,23 @@ def finite_difference_alternating(spec: GroupSpec, epsilon: float,
     """(d1-d2+d3-d4) E W by central differences of Monte-Carlo estimates.
 
     Rebuilds the figure-eight with each bounded lobe area shifted by
-    +/- step_plaquettes * eps^2, matched seeds across geometries.
+    +/- step_plaquettes * eps^2 and measures the four shifted loops on one
+    chain, over the box that holds all four.  The differences share their
+    random numbers, so sigma is the blocked error of the per-measurement
+    series of the whole alternating sum: it carries the correlation of the
+    four loops, which a sum of their separate variances would ignore.
     """
     h = step_plaquettes * epsilon**2
-    out, metas = {}, {}
-    variance = 0.0
-    for label, (d2s, d4s) in {"t2+": (h, 0), "t2-": (-h, 0),
-                              "t4+": (0, h), "t4-": (0, -h)}.items():
-        geometry = make_figure_eight(t2 + d2s, t4 + d4s, epsilon)
-        params = ActionParams(spec, epsilon)
-        samples, metas[label] = run_chain(params, [geometry.subject], schedule)
-        est = make_estimate(samples[:, 0, :])
-        out[label] = est
-        variance += (est.sigma / (2 * h)) ** 2
-    # wedge signs: F2 (west, +1) and F4 (east, -1) are faces 2 and 4
-    d2 = (out["t2+"].mean - out["t2-"].mean) / (2 * h)
-    d4 = (out["t4+"].mean - out["t4-"].mean) / (2 * h)
-    value = -d2 - d4  # d1 = d3 = 0 (unbounded wedges)
-    return {"value": value, "sigma": math.sqrt(variance), "estimates": out,
-            "run_meta": metas}
+    subjects = {label: make_figure_eight(t2 + d2s, t4 + d4s, epsilon).subject
+                for label, (d2s, d4s) in {"t2+": (h, 0), "t2-": (-h, 0),
+                                          "t4+": (0, h), "t4-": (0, -h)}.items()}
+    series, run_meta = _shared_stream(ActionParams(spec, epsilon),
+                                      list(subjects.values()), schedule, margin=4)
+    w = {label: series(subject) for label, subject in subjects.items()}
+    # wedge signs: F2 (west, +1) and F4 (east, -1) are faces 2 and 4;
+    # d1 = d3 = 0 (unbounded wedges)
+    total = make_estimate(-(w["t2+"] - w["t2-"]) / (2 * h)
+                          - (w["t4+"] - w["t4-"]) / (2 * h))
+    return {"value": total.mean, "sigma": total.sigma,
+            "estimates": {label: make_estimate(x) for label, x in w.items()},
+            "run_meta": run_meta}

@@ -114,10 +114,11 @@ def adjoint_deviation(q: np.ndarray) -> float:
 
 
 def is_in_group(q: np.ndarray, spec: GroupSpec, tol: float = GROUP_TOL) -> bool:
+    """Whether every element of q, of shape (..., N, N), lies in the group."""
     if adjoint_deviation(q) > tol:
         return False
     if spec.family in ("SU", "SO"):
-        if abs(np.linalg.det(q) - 1.0) > tol:
+        if np.max(np.abs(np.linalg.det(q) - 1.0)) > tol:
             return False
     if spec.is_real and np.iscomplexobj(q) and np.max(np.abs(q.imag)) > tol:
         return False

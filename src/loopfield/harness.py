@@ -570,9 +570,9 @@ def run_converge_unified(cfg):
                 fd = finite_difference_alternating(spec, eps, schedule,
                                                    t2=t2, t4=t4,
                                                    step_plaquettes=2)
-                for label, est in fd["estimates"].items():
-                    diagnostics.append(_chain_diagnostics(
-                        spec, eps, fd["run_meta"][label], [(f"fd:{label}", est)]))
+                diagnostics.append(_chain_diagnostics(
+                    spec, eps, fd["run_meta"],
+                    [(f"fd:{label}", est) for label, est in fd["estimates"].items()]))
                 rhs = (out["estimates"]["split"].mean
                        - (2 - spec.beta_g) / (spec.beta_g * spec.n)
                        * out["estimates"]["twist"].mean
@@ -811,25 +811,29 @@ def _provenance(config_path, cfg):
 
 
 def run_experiment(config_path: str, out_dir: str | None = None) -> int:
+    t_load = time.perf_counter()
     try:
         name, cfg = load_config(config_path)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
+    load_s = time.perf_counter() - t_load
     out_base = cfg["output"]["path"]
     if out_base is None:
         stem = os.path.splitext(os.path.basename(config_path))[0]
         out_base = os.path.join(out_dir or "reports", stem)
     elif out_dir is not None:
         out_base = os.path.join(out_dir, out_base)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         rows, clauses, extra = EXPERIMENTS[name](cfg)
     except (QuadratureError, TailBudgetError) as exc:
         print(f"numerical certification failure: {exc}")
         return EXIT_NUMERICAL
     extra = dict(extra)
-    extra["runtime_seconds"] = time.time() - t0
+    extra["runtime_seconds"] = time.perf_counter() - t0
+    extra["timings"] = {"load_config_s": load_s,
+                        "experiment_s": extra["runtime_seconds"]}
     extra["provenance"] = _provenance(config_path, cfg)
     write_reports(out_base, _rows_with_rates(rows), clauses, extra)
     for c in clauses:

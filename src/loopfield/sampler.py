@@ -14,6 +14,8 @@ view of its link array, and its staples multiply strided views of the
 neighbouring links, so no staple is built for a bond the update leaves
 alone.  The view keeps row-major bond order, so the random streams are
 unchanged from a full-field update that selects one parity by a mask.
+U(1) sweeps take e^{i theta} of every link once per sweep and refresh it
+only on the sublattice each update writes.
 Chains are carried as a leading batch axis; one master seed drives them all.
 The group operations (Haar draws for the hot start, the exponential map,
 the adjoint and the polar projection in `reunitarize`) are the batched ones
@@ -212,15 +214,15 @@ def _plaquette_sides(links, orient, start):
     return u0[:, :, :h][sub], u1[:, 1:, :][sub], u0[:, :, 1:][sub], u1[:, :w, :][sub]
 
 
-def _staple_u1(cfg, orient, parity):
-    """Complex staple K per bond of one sublattice: the local weight is
+def _staple_u1(z, orient, parity):
+    """Complex staple K per bond of one sublattice, from the phases
+    z = [e^{i theta} of each link array]: the local weight is
     exp(scale * Re(e^{i theta} K)).
 
     Sums the two adjacent plaquette contributions; the plaquette where the
     bond appears reversed enters through the conjugate product.
     """
-    z = [np.exp(1j * u) for u in cfg.links]
-    k = np.zeros(cfg.links[orient][_sublattice(orient, parity)].shape, dtype=complex)
+    k = np.zeros(z[orient][_sublattice(orient, parity)].shape, dtype=complex)
     if orient == 0:
         # bond at the bottom of Qp(x, y): theta + (u1[x+1,y] - u0[x,y+1] - u1[x,y])
         _, b, c, d = _plaquette_sides(z, 0, parity)
@@ -290,6 +292,8 @@ def sweep_metropolis(cfg: LatticeConfiguration, rng: np.random.Generator,
     """
     spec = cfg.spec
     scale = action_exponent_scale(cfg.params)
+    # U(1): e^{i theta} of every link, refreshed on each updated sublattice
+    z = [np.exp(1j * u) for u in cfg.links] if cfg.is_u1 else None
     accepted = 0
     total = 0
     for orient in (0, 1):
@@ -297,13 +301,14 @@ def sweep_metropolis(cfg: LatticeConfiguration, rng: np.random.Generator,
         for parity in (0, 1):
             sub = _sublattice(orient, parity)
             if cfg.is_u1:
-                k = _staple_u1(cfg, orient, parity)
-                theta = arr[sub]
+                k = _staple_u1(z, orient, parity)
+                theta, z_theta = arr[sub], z[orient][sub]
                 prop = theta + rng.normal(0.0, proposal_scale, theta.shape)
-                logw = scale * (np.real(np.exp(1j * prop) * k)
-                                - np.real(np.exp(1j * theta) * k))
+                z_prop = np.exp(1j * prop)
+                logw = scale * (np.real(z_prop * k) - np.real(z_theta * k))
                 acc = np.log(rng.uniform(size=theta.shape)) < logw
                 arr[sub] = np.where(acc, prop, theta)
+                z_theta[...] = np.where(acc, z_prop, z_theta)
             elif spec == SU2:
                 k = _staples([a[..., 0, :] for a in cfg.links], orient, parity,
                              su2_row_multiply, su2_row_inverse)
@@ -353,12 +358,16 @@ def sweep_heatbath_u1(cfg: LatticeConfiguration, rng: np.random.Generator):
     if not cfg.is_u1:
         raise SamplerError("heat bath implemented for U(1) only")
     scale = action_exponent_scale(cfg.params)
+    z = [np.exp(1j * u) for u in cfg.links]  # refreshed per sublattice
     for orient in (0, 1):
         for parity in (0, 1):
-            k = _staple_u1(cfg, orient, parity)
+            sub = _sublattice(orient, parity)
+            k = _staple_u1(z, orient, parity)
             kappa = scale * np.abs(k)
             mu = -np.angle(k)
-            cfg.links[orient][_sublattice(orient, parity)] = _vonmises(rng, mu, kappa)
+            theta = _vonmises(rng, mu, kappa)
+            cfg.links[orient][sub] = theta
+            z[orient][sub] = np.exp(1j * theta)
     return cfg
 
 

@@ -27,6 +27,27 @@ def test_partition_function_u1_bessel():
     assert abs(z - sp.i0(beta) * np.exp(-beta)) < 1e-12
 
 
+def test_partition_function_runs_quadrature_once(monkeypatch):
+    # the second call, positional or keyword, reuses the first value
+    import loopfield.action as action
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate_class_function(*args, **kwargs)
+
+    monkeypatch.setattr(action, "integrate_class_function", counted)
+    action._partition_function.cache_clear()
+    params = ActionParams(SU2, 0.4321)
+    z = partition_function(params)
+    assert len(calls) == 1
+    assert partition_function(params, 1e-11) == z
+    assert partition_function(params, tol=1e-11) == z
+    assert len(calls) == 1
+    partition_function(params, tol=1e-10)
+    assert len(calls) == 2
+
+
 def test_partition_function_limits():
     z = partition_function(ActionParams(U1, 1e3))
     assert abs(z - 1.0) < 1e-6  # exponent -> 0

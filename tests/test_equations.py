@@ -15,8 +15,10 @@ from loopfield.equations import (EquationSpec, assemble, evaluate_exact_u1,
                                  convergence_merger, crossing_im_sweep,
                                  degenerate_checks, trace_power_integral,
                                  unified_equation_reports, EquationError,
-                                 alternating_area_derivative)
-from loopfield.sampler import MCSchedule
+                                 alternating_area_derivative,
+                                 finite_difference_alternating)
+from loopfield import equations
+from loopfield.sampler import LatticeBox, MCSchedule, make_estimate, run_chain
 
 U1 = GroupSpec("U", 1)
 
@@ -231,6 +233,37 @@ def test_unified_reports_structure():
         assert abs(rep.residual) <= 4.0 * rep.residual_sigma
     assert out["coefficients"]["twist"] == pytest.approx(-1.0 / 3.0)
     assert out["expansion_pair"] is None  # gamma = 0 for SO(N)
+
+
+def test_finite_differences_share_one_chain(monkeypatch):
+    # the four shifted figure-eights are measured on one chain, and sigma is
+    # the blocked error of the per-measurement alternating sum
+    calls = []
+
+    def counted(params, subjects, schedule, margin=4):
+        samples, meta = run_chain(params, subjects, schedule, margin=margin)
+        calls.append((subjects, samples, meta))
+        return samples, meta
+
+    monkeypatch.setattr(equations, "run_chain", counted)
+    su2, eps, h = GroupSpec("SU", 2), 0.5, 2 * 0.5**2
+    sched = MCSchedule(sweeps=8, burn_in=4, thin=2, chains=2, seed=5)
+    fd = finite_difference_alternating(su2, eps, sched, t2=1.0, t4=1.0,
+                                       step_plaquettes=2)
+    assert len(calls) == 1
+    subjects, samples, meta = calls[0]
+    shifted = [make_figure_eight(1.0 + d2, 1.0 + d4, eps).subject
+               for d2, d4 in ((h, 0), (-h, 0), (0, h), (0, -h))]
+    assert [s.word for s in subjects] == [s.word for s in shifted]
+    assert meta["box"] == LatticeBox(14, 10)
+    w = dict(zip(("t2+", "t2-", "t4+", "t4-"), samples.real.transpose(1, 0, 2)))
+    m = {label: x.mean() for label, x in w.items()}
+    value = -(m["t2+"] - m["t2-"]) / (2 * h) - (m["t4+"] - m["t4-"]) / (2 * h)
+    assert abs(fd["value"] - value) < 1e-12
+    combined = make_estimate(-(w["t2+"] - w["t2-"]) / (2 * h)
+                             - (w["t4+"] - w["t4-"]) / (2 * h))
+    assert fd["sigma"] == combined.sigma
+    assert fd["run_meta"] is meta
 
 
 def test_orientation_variant_sign_flip_same_limit():

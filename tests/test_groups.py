@@ -66,6 +66,16 @@ def test_casimir_standard(spec, expected):
     assert abs(casimir_standard_expected(spec) - expected) < 1e-15
 
 
+def test_is_in_group_checks_a_whole_stack():
+    # one bool for a (..., N, N) stack: one element off the group fails it
+    su2 = GroupSpec("SU", 2)
+    q = haar_sample(su2, np.random.default_rng(4), 3)
+    assert is_in_group(q, su2) is True
+    q[1] *= 1.01
+    assert is_in_group(q, su2) is False
+    assert is_in_group(q[[0, 2]], su2) is True
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_group_closure(spec):
     rng = np.random.default_rng(2)

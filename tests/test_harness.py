@@ -255,7 +255,8 @@ def test_every_schema_key_is_read(tmp_path, name):
 
 def test_every_report_carries_provenance(tmp_path, monkeypatch):
     # each experiment's JSON names the versions, the config bytes, the seeds
-    # and the thread settings it ran with; the CSV columns are unchanged
+    # and the thread settings it ran with, and times its stages; the CSV
+    # columns are unchanged
     import hashlib
     import numpy
     import scipy
@@ -266,7 +267,12 @@ def test_every_report_carries_provenance(tmp_path, monkeypatch):
         path = _write(tmp_path, f"[experiment]\nname = {name}\n" + _SMALL[name]
                       + "[output]\npath = out\n", name=f"{name}.cfg")
         assert run_experiment(path, out_dir=str(tmp_path / name)) in (EXIT_OK, EXIT_FAIL)
-        prov = json.loads((tmp_path / name / "out.json").read_text())["provenance"]
+        payload = json.loads((tmp_path / name / "out.json").read_text())
+        timings = payload["timings"]
+        assert set(timings) == {"load_config_s", "experiment_s"}
+        assert all(t >= 0.0 for t in timings.values())
+        assert timings["experiment_s"] == payload["runtime_seconds"]
+        prov = payload["provenance"]
         assert prov["config_sha256"] == hashlib.sha256(open(path, "rb").read()).hexdigest()
         assert (prov["loopfield"], prov["numpy"], prov["scipy"]) == (
             loopfield.__version__, numpy.__version__, scipy.__version__)
@@ -288,7 +294,7 @@ DIAGNOSTIC_KEYS = {"group", "epsilon", "box", "algorithm", "proposal_scale",
 
 
 @pytest.mark.parametrize("name,extra,n_chains", [
-    ("converge-unified", "[groups]\nlist = SU2\n", 5),
+    ("converge-unified", "[groups]\nlist = SU2\n", 2),
     ("sample-diagnostics", "", 7),
 ], ids=["converge-unified", "sample-diagnostics"])
 def test_mc_reports_carry_chain_diagnostics(tmp_path, name, extra, n_chains):
