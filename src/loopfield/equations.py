@@ -15,7 +15,9 @@ the other occurrences of the bond or its inverse.  For U(N) this reduces
 to the plain single-location equation (tw = 0, g = 0, c0 = 1).
 
 Backends: exact per-face products for U(1); shared-randomness Monte Carlo
-for the other groups (all terms estimated on one sample stream).
+for the other groups (all terms estimated on one sample stream).  The
+stream is `sample_iid`'s exact axial-gauge draws for U(1), SU(2) and SO(3),
+and a Metropolis chain (`run_chain`) for the other groups.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from loopfield.driver import (U1Backend, area_derivative,
                               correction_term_im, continuum_product,
                               CrossingGeometry, make_figure_eight,
                               make_crossing_squares, make_lattice_approximation)
-from loopfield.sampler import (MCSchedule, run_chain, make_estimate, Estimate)
+from loopfield.sampler import (IID_GROUPS, MCSchedule, run_chain, sample_iid,
+                               make_estimate, Estimate)
 
 
 class EquationError(ValueError):
@@ -181,10 +184,11 @@ def _subject_key(subject):
 
 def _shared_stream(params: ActionParams, subjects, schedule: MCSchedule,
                    margin: int):
-    """One chain that measures each distinct subject once.
+    """One sample stream that measures each distinct subject once: exact
+    i.i.d. draws where `sample_iid` serves the group, else one chain.
 
     Returns series(subject), the real (n_meas, n_chains) samples of any of
-    the subjects, and the chain's meta.
+    the subjects, and the stream's meta.
     """
     index, distinct = {}, []
     for subject in subjects:
@@ -192,7 +196,8 @@ def _shared_stream(params: ActionParams, subjects, schedule: MCSchedule,
         if key not in index:
             index[key] = len(distinct)
             distinct.append(subject)
-    samples, run_meta = run_chain(params, distinct, schedule, margin=margin)
+    draw = sample_iid if params.spec in IID_GROUPS else run_chain
+    samples, run_meta = draw(params, distinct, schedule, margin=margin)
 
     def series(subject):
         return samples[:, index[_subject_key(subject)], :].real
@@ -531,7 +536,8 @@ def unified_equation_reports(spec: GroupSpec, epsilon: float,
 
     Returns a dict with the per-equation reports, the combination residual,
     and the comparison of the deformation combination against the continuum
-    right-hand side (splitting - twist - gamma terms).
+    right-hand side (splitting - twist - gamma terms), whose own estimate is
+    estimates["rhs"].
     """
     geometry = make_figure_eight(t2, t4, epsilon)
     ann = geometry.annotation
@@ -577,7 +583,8 @@ def unified_equation_reports(spec: GroupSpec, epsilon: float,
         "expansion_pair": expansion,
         "estimates": {"W": make_estimate(series(s)),
                       "split": make_estimate(series(split)),
-                      "twist": make_estimate(series(twist))},
+                      "twist": make_estimate(series(twist)),
+                      "rhs": make_estimate(rhs_series)},
         "coefficients": {"twist": -tw, "gamma_term": -gam},
         "run_meta": run_meta,
     }
@@ -590,7 +597,7 @@ def finite_difference_alternating(spec: GroupSpec, epsilon: float,
 
     Rebuilds the figure-eight with each bounded lobe area shifted by
     +/- step_plaquettes * eps^2 and measures the four shifted loops on one
-    chain, over the box that holds all four.  The differences share their
+    sample stream, over the box that holds all four.  The differences share their
     random numbers, so sigma is the blocked error of the per-measurement
     series of the whole alternating sum: it carries the correlation of the
     four loops, which a sum of their separate variances would ignore.

@@ -573,14 +573,17 @@ def run_converge_unified(cfg):
                 diagnostics.append(_chain_diagnostics(
                     spec, eps, fd["run_meta"],
                     [(f"fd:{label}", est) for label, est in fd["estimates"].items()]))
-                rhs = (out["estimates"]["split"].mean
-                       - (2 - spec.beta_g) / (spec.beta_g * spec.n)
-                       * out["estimates"]["twist"].mean
-                       - spec.gamma_g / spec.n**2 * out["estimates"]["W"].mean)
+                # the target is itself a Monte Carlo estimate on another
+                # stream; the JSON carries its error and the z-score of the
+                # gap with both errors
+                rhs = out["estimates"]["rhs"]
                 rows.append({"experiment": "converge-unified", "group": str(spec),
                              "epsilon": eps, "term": "fd-alternating-sum",
                              "value": fd["value"], "sigma": fd["sigma"],
-                             "target": rhs, "gap": abs(fd["value"] - rhs)})
+                             "target": rhs.mean, "target_sigma": rhs.sigma,
+                             "gap": abs(fd["value"] - rhs.mean),
+                             "gap_z": (fd["value"] - rhs.mean)
+                             / max(math.hypot(fd["sigma"], rhs.sigma), 1e-300)})
     return rows, clauses, {"diagnostics": diagnostics}
 
 

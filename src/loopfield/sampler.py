@@ -34,10 +34,21 @@ matrix arithmetic; only the rounding of the SU(2) links differs.
 Wilson loops and strings are measured on a thinned schedule after burn-in;
 estimates carry naive and blocked standard errors plus an integrated
 autocorrelation time.
+
+`sample_iid` draws the same measure exactly, with no chain.  On a box with a
+free boundary the plaquette holonomies are independent, each with density
+S^eps (Driver 1989, Commun. Math. Phys. 123), so in the axial gauge (every
+horizontal link and every column-0 vertical link the identity) a
+configuration is W batched products of i.i.d. plaquettes.  It serves U(1),
+SU(2) and SO(3), whose classes carry one angle; each measurement row is
+`chains` independent configurations, so it has no burn-in and no
+autocorrelation, and `[mc]` there means `sweeps // thin` draws per chain.
+The chains above stay as the oracle it is checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,12 +58,16 @@ from loopfield.groups import (GroupSpec, adjoint_deviation, exp_coords,
                               haar_sample, inverse, project_to_group,
                               su2_exp_row, su2_row_inverse, su2_row_matrix,
                               su2_row_multiply)
-from loopfield.action import ActionParams, action_exponent_scale
+from loopfield.action import (ActionParams, QuadratureError, action_exponent_scale,
+                              unnormalized_weight, weyl_weight)
 from loopfield.loops import as_string, bond_start, bond_end
 
 
 PROPOSAL_SCALE = 0.6  # initial Metropolis step width in Lie-algebra coordinates
-SU2 = GroupSpec("SU", 2)
+U1, SU2, SO3 = GroupSpec("U", 1), GroupSpec("SU", 2), GroupSpec("SO", 3)
+# the groups sample_iid draws: their conjugacy classes carry one angle
+IID_GROUPS = (U1, SU2, SO3)
+CLASS_CDF_BOUND = 1e-9  # sup-norm error of the class-angle CDF sample_iid draws from
 
 
 class SamplerError(ValueError):
@@ -123,7 +138,7 @@ class LatticeConfiguration:
 
     @property
     def is_u1(self) -> bool:
-        return self.spec == GroupSpec("U", 1)
+        return self.spec == U1
 
     def copy(self):
         return LatticeConfiguration(self.box, self.params,
@@ -136,7 +151,7 @@ def init_config(box: LatticeBox, params: ActionParams, mode: str,
     n = spec.n
     h_shape = (chains, box.width, box.height + 1)
     v_shape = (chains, box.width + 1, box.height)
-    if spec == GroupSpec("U", 1):
+    if spec == U1:
         if mode == "cold":
             links = [np.zeros(h_shape), np.zeros(v_shape)]
         elif mode == "hot":
@@ -513,6 +528,132 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
 
 def _mean_or_none(values):
     return float(np.mean(values)) if values else None
+
+
+# ---------------------------------------------------------------------------
+# exact i.i.d. draws in axial gauge
+
+
+@functools.cache
+def class_angle_table(params: ActionParams):
+    """(F, f): the CDF and the normalized density of a plaquette's class
+    angle theta in [0, 2 pi) at the nodes 2 pi j / M, j = 0..M.
+
+    theta has density f = weyl_weight * unnormalized_weight, the torus
+    reduction `loopfield.action` integrates.  F at the nodes is the
+    antiderivative of f's Fourier series, from one FFT of f on the nodes;
+    M doubles from 1024 until the coefficients above M/4 are below 1e-12 of
+    the mean, so aliasing moves F by far less than the bound below.
+    `class_angles` draws from the CDF G that equals F at the nodes and takes
+    f linear inside each cell.  In a cell of width h, interpolating f costs
+    at most h^3 max|f''| / 8 and the trapezoid rule's cell mass at most
+    h^3 max|f''| / 12, so |G - F| <= (5/24) h^3 max|f''|.  The Fourier
+    series bounds max|f''| by the sum of k^2 |c_k| (within 10% of the
+    largest |f''| on the nodes for these densities), and M also doubles
+    until the bound is at most CLASS_CDF_BOUND = 1e-9; past 2^21 nodes it
+    raises QuadratureError.
+    """
+    m = 1024
+    while m <= 1 << 21:
+        theta = np.arange(m) * (2.0 * np.pi / m)
+        f = weyl_weight(params.spec, (theta,)) * unnormalized_weight(params, (theta,))
+        coef = np.fft.rfft(f)
+        k = np.arange(coef.size)
+        coef[m // 2] = 0.0  # the Nyquist term has no antiderivative on the grid
+        norm = m / (2.0 * np.pi * coef[0].real)  # 1 / integral of f
+        max_f2 = 2.0 / m * norm * np.sum(k**2 * np.abs(coef))
+        resolved = np.max(np.abs(coef[m // 4:])) <= 1e-12 * coef[0].real
+        if resolved and (5.0 / 24.0) * (2.0 * np.pi / m) ** 3 * max_f2 <= CLASS_CDF_BOUND:
+            break
+        m *= 2
+    else:
+        raise QuadratureError(f"class-angle CDF on {params.spec} did not certify "
+                              f"{CLASS_CDF_BOUND:g} with 2^21 nodes")
+    anti = np.zeros_like(coef)  # Fourier coefficients of f's periodic antiderivative
+    anti[1:] = coef[1:] / (1j * k[1:])
+    periodic = np.fft.irfft(anti, n=m) * norm
+    cdf = np.append(theta / (2.0 * np.pi) + periodic - periodic[0], 1.0)
+    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
+    return cdf, np.append(f, f[0]) * norm
+
+
+def class_angles(params: ActionParams, u):
+    """Class angles in [0, 2 pi) of plaquettes drawn from S^eps, one per
+    uniform u in [0, 1): the inverse of the CDF of `class_angle_table`,
+    which is within CLASS_CDF_BOUND of the exact one."""
+    cdf, dens = class_angle_table(params)
+    j = np.searchsorted(cdf, u, side="right") - 1
+    a, b = dens[j], dens[j + 1]
+    c = (u - cdf[j]) / (cdf[j + 1] - cdf[j])
+    # the root in [0, 1] of a t + (b - a) t^2 / 2 = c (a + b) / 2
+    den = a + np.sqrt((1.0 - c) * a * a + c * b * b)
+    t = np.divide(c * (a + b), den, out=c.copy(), where=den > 0)
+    return (j + t) * (2.0 * np.pi / (cdf.size - 1))
+
+
+def _axial_draw(box: LatticeBox, params: ActionParams, rng, chains: int):
+    """`chains` configurations whose plaquettes are i.i.d. with density S^eps.
+
+    Every horizontal link and every column-0 vertical link is the identity,
+    so Q_p(x, y) = U1[x+1, y] U1[x, y]^-1 and U1[x+1, y] = Q_p(x, y) U1[x, y].
+    Q_p has its class angle from `class_angles` and a uniform axis: SU(2)
+    cos(theta) I + i sin(theta) n.sigma, SO(3) the rotation by theta about n
+    (Rodrigues), U(1) the bare angle.
+    """
+    spec = params.spec
+    w, h = box.width, box.height
+    cfg = init_config(box, params, "cold", rng, chains=chains)
+    theta = class_angles(params, rng.random((chains, w, h)))
+    u1 = cfg.links[1]
+    if spec == U1:
+        u1[:, 1:] = np.cumsum(theta, axis=1)
+        return cfg
+    n = rng.standard_normal(theta.shape + (3,))  # uniform axes: normalized normals
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    cos, sin = np.cos(theta), np.sin(theta)
+    if spec == SU2:
+        q = np.stack([cos + 1j * sin * n[..., 2],
+                      sin * (n[..., 1] + 1j * n[..., 0])], axis=-1)
+        rows = u1[..., 0, :].copy()
+        for x in range(w):
+            rows[:, x + 1] = su2_row_multiply(q[:, x], rows[:, x])
+        u1[:, 1:] = su2_row_matrix(rows[:, 1:])
+        return cfg
+    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
+    zero = np.zeros_like(nx)
+    cross = np.stack([np.stack([zero, -nz, ny], -1),
+                      np.stack([nz, zero, -nx], -1),
+                      np.stack([-ny, nx, zero], -1)], -2)
+    q = (cos[..., None, None] * np.eye(3) + sin[..., None, None] * cross
+         + (1.0 - cos)[..., None, None] * n[..., :, None] * n[..., None, :])
+    for x in range(w):
+        u1[:, x + 1] = q[:, x] @ u1[:, x]
+    return cfg
+
+
+def sample_iid(params: ActionParams, subjects, schedule: MCSchedule,
+               margin: int = 4):
+    """`run_chain`'s contract with exact i.i.d. configurations.
+
+    Same box and offset, and samples of shape (n_meas, n_subjects, chains)
+    with n_meas = sweeps // thin; each row measures `chains` fresh axial-gauge
+    draws, so burn_in plays no part.  meta has run_chain's keys, with
+    algorithm "iid-axial", sweeps 0 and None for the proposal scale, both
+    acceptances and the drift.  Groups: IID_GROUPS.
+    """
+    if params.spec not in IID_GROUPS:
+        raise SamplerError(f"no class-angle sampler for {params.spec}")
+    box, offset = box_for_subjects(subjects, margin=margin)
+    rng = np.random.default_rng(schedule.seed)
+    obs = [WilsonObservable(s, box, offset) for s in subjects]
+    rows = []
+    for _ in range(schedule.sweeps // schedule.thin):
+        cfg = _axial_draw(box, params, rng, schedule.chains)
+        rows.append(np.stack([o.measure(cfg) for o in obs]))
+    meta = {"box": box, "offset": offset, "proposal_scale": None,
+            "algorithm": "iid-axial", "acceptance_burn_in": None,
+            "acceptance_measure": None, "sweeps": 0, "reunitarize_drift": None}
+    return np.stack(rows), meta
 
 
 def integrated_autocorrelation(x: np.ndarray) -> float:

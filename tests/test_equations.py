@@ -18,7 +18,7 @@ from loopfield.equations import (EquationSpec, assemble, evaluate_exact_u1,
                                  alternating_area_derivative,
                                  finite_difference_alternating)
 from loopfield import equations
-from loopfield.sampler import LatticeBox, MCSchedule, make_estimate, run_chain
+from loopfield.sampler import LatticeBox, MCSchedule, make_estimate, sample_iid
 
 U1 = GroupSpec("U", 1)
 
@@ -236,16 +236,16 @@ def test_unified_reports_structure():
 
 
 def test_finite_differences_share_one_chain(monkeypatch):
-    # the four shifted figure-eights are measured on one chain, and sigma is
-    # the blocked error of the per-measurement alternating sum
+    # the four shifted figure-eights are measured on one sample stream, and
+    # sigma is the blocked error of the per-measurement alternating sum
     calls = []
 
     def counted(params, subjects, schedule, margin=4):
-        samples, meta = run_chain(params, subjects, schedule, margin=margin)
+        samples, meta = sample_iid(params, subjects, schedule, margin=margin)
         calls.append((subjects, samples, meta))
         return samples, meta
 
-    monkeypatch.setattr(equations, "run_chain", counted)
+    monkeypatch.setattr(equations, "sample_iid", counted)
     su2, eps, h = GroupSpec("SU", 2), 0.5, 2 * 0.5**2
     sched = MCSchedule(sweeps=8, burn_in=4, thin=2, chains=2, seed=5)
     fd = finite_difference_alternating(su2, eps, sched, t2=1.0, t4=1.0,

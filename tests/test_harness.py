@@ -155,6 +155,19 @@ def test_cli_entry_points(tmp_path):
     assert cli_main(["run", cfgp, "--out-dir", str(tmp_path)]) == 0
 
 
+def test_python_m_loopfield_runs_an_experiment(tmp_path):
+    # the package runs as a module from a source checkout, with no install
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    cfgp = _write(tmp_path, "[experiment]\nname = degenerate\n[output]\npath = deg\n")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run([sys.executable, "-m", "loopfield", "run", cfgp,
+                           "--out-dir", str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "clauses passed" in proc.stdout
+    assert (tmp_path / "deg.csv").exists()
+
+
 def test_committed_configs_parse(tmp_path):
     """The committed configs and every config the benchmark generates."""
     paths = [os.path.join(CONFIG_DIR, name) for name in os.listdir(CONFIG_DIR)]

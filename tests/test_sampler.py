@@ -17,7 +17,9 @@ from loopfield.sampler import (LatticeBox, MCSchedule, init_config,
                                plaquette_product, WilsonObservable,
                                box_for_subjects, run_chain, make_estimate,
                                estimate_wilson, gauge_transform,
-                               integrated_autocorrelation, SamplerError)
+                               integrated_autocorrelation, SamplerError,
+                               sample_iid, class_angles, _axial_draw,
+                               IID_GROUPS, CLASS_CDF_BOUND)
 
 U1 = GroupSpec("U", 1)
 SU2 = GroupSpec("SU", 2)
@@ -408,3 +410,95 @@ def test_reunitarize_reports_small_drift():
     assert meta["box"] == LatticeBox(1, 1)
     assert meta["reunitarize_drift"] is not None
     assert 0.0 <= meta["reunitarize_drift"] <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact i.i.d. draws
+
+
+@pytest.mark.parametrize("spec", IID_GROUPS, ids=str)
+def test_iid_plaquette_and_rectangle_match_char_coefficient(spec):
+    # plaquettes are i.i.d., so a loop enclosing T plaquettes has E W = a^T
+    params = ActionParams(spec, 0.7)
+    a = char_coefficient(standard_label(spec), params)
+    subjects = [plaquette_loop((0, 0)), make_loop_from_moves((0, 0), "RRULLD")]
+    sched = MCSchedule(sweeps=400, thin=1, chains=16, seed=9)
+    samples, _ = sample_iid(params, subjects, sched, margin=1)
+    for i, target in enumerate((a, a * a)):
+        assert make_estimate(samples[:, i, :]).compatible_with(target, 3.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(IID_GROUPS), eps=st.sampled_from((0.3, 0.5, 1.0, 2.0)),
+       u=st.floats(0.0, 1.0, exclude_max=True))
+def test_class_angle_cdf_within_stated_bound(spec, eps, u):
+    # the drawn angle theta(u) has exact CDF u up to the stated bound; the
+    # exact CDF here is an adaptive quadrature of the same density
+    from scipy.integrate import quad
+    from loopfield.action import weyl_weight
+    params = ActionParams(spec, eps)
+
+    def dens(t):
+        return float(weyl_weight(spec, (np.array([t]),))[0]
+                     * unnormalized_weight(params, (np.array([t]),))[0])
+
+    theta = float(class_angles(params, np.array([u]))[0])
+    assert 0.0 <= theta < 2 * np.pi
+    opts = {"epsabs": 1e-14, "epsrel": 1e-13, "limit": 500}
+    total = quad(dens, 0.0, np.pi, **opts)[0] + quad(dens, np.pi, 2 * np.pi, **opts)[0]
+    assert abs(quad(dens, 0.0, theta, **opts)[0] / total - u) <= CLASS_CDF_BOUND
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.sampled_from(IID_GROUPS), width=st.integers(1, 4),
+       height=st.integers(1, 3), chains=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_axial_draw_links_and_plaquettes(spec, width, height, chains, seed):
+    # links lie in the group; horizontal and column-0 vertical links are the
+    # identity; each plaquette has the class angle drawn for it
+    box = LatticeBox(width, height)
+    params = ActionParams(spec, 0.7)
+    cfg = _axial_draw(box, params, np.random.default_rng(seed), chains)
+    theta = class_angles(params, np.random.default_rng(seed).random((chains, width, height)))
+    qp = plaquette_product(cfg)
+    if spec == U1:
+        assert np.all(cfg.links[0] == 0.0) and np.all(cfg.links[1][:, 0] == 0.0)
+        assert np.max(np.abs(np.exp(1j * qp) - np.exp(1j * theta))) < 1e-12
+        return
+    eye = np.eye(spec.n)
+    assert np.all(cfg.links[0] == eye) and np.all(cfg.links[1][:, 0] == eye)
+    for arr in cfg.links:
+        assert is_in_group(arr, spec, tol=1e-12)
+    tr = np.trace(qp, axis1=-2, axis2=-1).real
+    expected = 2 * np.cos(theta) if spec == SU2 else 1 + 2 * np.cos(theta)
+    assert np.max(np.abs(tr - expected)) < 1e-12
+
+
+def test_sample_iid_contract():
+    params = ActionParams(SU2, 0.7)
+    subjects = [plaquette_loop((0, 0)), make_loop_from_moves((1, 0), "RRULLD")]
+    sched = MCSchedule(sweeps=7, burn_in=3, thin=2, chains=5, seed=12)
+    s1, meta = sample_iid(params, subjects, sched, margin=2)
+    s2, _ = sample_iid(params, subjects, sched, margin=2)
+    assert s1.shape == (3, 2, 5) and np.iscomplexobj(s1)
+    assert np.array_equal(s1, s2)
+    assert not np.array_equal(s1, sample_iid(params, subjects,
+                                             MCSchedule(7, 3, 2, 5, 13), margin=2)[0])
+    box, offset = box_for_subjects(subjects, margin=2)
+    assert meta == {"box": box, "offset": offset, "proposal_scale": None,
+                    "algorithm": "iid-axial", "acceptance_burn_in": None,
+                    "acceptance_measure": None, "sweeps": 0,
+                    "reunitarize_drift": None}
+    with pytest.raises(SamplerError):
+        sample_iid(ActionParams(GroupSpec("U", 2), 0.7), subjects, sched)
+
+
+def test_iid_matches_metropolis_on_so3_figure_eight():
+    # the chain and the exact draws estimate the same crossing loop
+    from loopfield.driver import make_figure_eight
+    params = ActionParams(SO3, 0.5)
+    loop = make_figure_eight(1.0, 1.0, 0.5).subject
+    sched = MCSchedule(sweeps=1200, burn_in=200, thin=2, chains=8, seed=21)
+    chain = make_estimate(run_chain(params, [loop], sched, margin=1)[0][:, 0, :])
+    iid = make_estimate(sample_iid(params, [loop], sched, margin=1)[0][:, 0, :])
+    assert abs(chain.mean - iid.mean) <= 3.0 * np.hypot(chain.sigma, iid.sigma)
