@@ -537,7 +537,7 @@ def unified_equation_reports(spec: GroupSpec, epsilon: float,
     Returns a dict with the per-equation reports, the combination residual,
     and the comparison of the deformation combination against the continuum
     right-hand side (splitting - twist - gamma terms), whose own estimate is
-    estimates["rhs"].
+    estimates["rhs"] and whose (n_meas, n_chains) series is rhs_series.
     """
     geometry = make_figure_eight(t2, t4, epsilon)
     ann = geometry.annotation
@@ -585,6 +585,7 @@ def unified_equation_reports(spec: GroupSpec, epsilon: float,
                       "split": make_estimate(series(split)),
                       "twist": make_estimate(series(twist)),
                       "rhs": make_estimate(rhs_series)},
+        "rhs_series": rhs_series,
         "coefficients": {"twist": -tw, "gamma_term": -gam},
         "run_meta": run_meta,
     }
@@ -601,6 +602,7 @@ def finite_difference_alternating(spec: GroupSpec, epsilon: float,
     random numbers, so sigma is the blocked error of the per-measurement
     series of the whole alternating sum: it carries the correlation of the
     four loops, which a sum of their separate variances would ignore.
+    Returns that (n_meas, n_chains) series too, as "series".
     """
     h = step_plaquettes * epsilon**2
     subjects = {label: make_figure_eight(t2 + d2s, t4 + d4s, epsilon).subject
@@ -611,8 +613,8 @@ def finite_difference_alternating(spec: GroupSpec, epsilon: float,
     w = {label: series(subject) for label, subject in subjects.items()}
     # wedge signs: F2 (west, +1) and F4 (east, -1) are faces 2 and 4;
     # d1 = d3 = 0 (unbounded wedges)
-    total = make_estimate(-(w["t2+"] - w["t2-"]) / (2 * h)
-                          - (w["t4+"] - w["t4-"]) / (2 * h))
-    return {"value": total.mean, "sigma": total.sigma,
+    combined = -(w["t2+"] - w["t2-"]) / (2 * h) - (w["t4+"] - w["t4-"]) / (2 * h)
+    total = make_estimate(combined)
+    return {"value": total.mean, "sigma": total.sigma, "series": combined,
             "estimates": {label: make_estimate(x) for label, x in w.items()},
             "run_meta": run_meta}

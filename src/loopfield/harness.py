@@ -36,7 +36,7 @@ from loopfield.equations import (EquationSpec, assemble, evaluate_exact_u1,
                                  finite_difference_alternating)
 from loopfield.sampler import (MCSchedule, LatticeBox, init_config,
                                sweep_metropolis, estimate_wilson, gauge_transform,
-                               WilsonObservable, plaquette_product)
+                               WilsonObservable, plaquette_product, make_estimate)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -254,8 +254,8 @@ def _within(name, mean, sigma, n_sigma):
 
 def _chain_diagnostics(spec, eps, meta, estimates):
     """The JSON `diagnostics` entry of one chain run: its box, tuning,
-    acceptance, sweeps, reunitarisation drift and the tau_int of each
-    (label, Estimate) it fed."""
+    acceptance, sweeps, reunitarisation drift, seconds spent sampling and
+    measuring, and the tau_int of each (label, Estimate) it fed."""
     box = meta["box"]
     return {"group": str(spec), "epsilon": eps, "box": [box.width, box.height],
             "algorithm": meta["algorithm"],
@@ -264,6 +264,7 @@ def _chain_diagnostics(spec, eps, meta, estimates):
             "acceptance_measure": meta["acceptance_measure"],
             "sweeps": meta["sweeps"],
             "reunitarize_drift": meta["reunitarize_drift"],
+            "sample_s": meta["sample_s"], "measure_s": meta["measure_s"],
             "tau_int": {label: est.tau_int for label, est in estimates}}
 
 
@@ -574,16 +575,18 @@ def run_converge_unified(cfg):
                     spec, eps, fd["run_meta"],
                     [(f"fd:{label}", est) for label, est in fd["estimates"].items()]))
                 # the target is itself a Monte Carlo estimate on another
-                # stream; the JSON carries its error and the z-score of the
-                # gap with both errors
+                # stream, drawn from the same [mc] seed with as many rows of
+                # as many chains: the gap's error is that of the paired
+                # series, which carries the correlation of the two streams
                 rhs = out["estimates"]["rhs"]
+                paired = make_estimate(fd["series"] - out["rhs_series"])
                 rows.append({"experiment": "converge-unified", "group": str(spec),
                              "epsilon": eps, "term": "fd-alternating-sum",
                              "value": fd["value"], "sigma": fd["sigma"],
                              "target": rhs.mean, "target_sigma": rhs.sigma,
                              "gap": abs(fd["value"] - rhs.mean),
-                             "gap_z": (fd["value"] - rhs.mean)
-                             / max(math.hypot(fd["sigma"], rhs.sigma), 1e-300)})
+                             "gap_sigma": paired.sigma,
+                             "gap_z": paired.mean / max(paired.sigma, 1e-300)})
     return rows, clauses, {"diagnostics": diagnostics}
 
 
@@ -659,14 +662,14 @@ def _gauge_bit_identity_clauses(eps):
         box = LatticeBox(4, 4)
         cfg_ = init_config(box, params, "hot", rng, chains=2)
         loop = make_loop_from_moves((1, 1), "RRUULLDD")
-        obs = WilsonObservable(loop, box, (0, 0))
-        before = obs.measure(cfg_)
+        obs = WilsonObservable([loop], box, (0, 0))
+        before = obs.measure(cfg_)[0]
         roots = np.array([1.0, 1.0j, -1.0, -1.0j])
         if fam == GroupSpec("U", 1):
             # dyadic link angles and gauge make the angle arithmetic exact
             for arr in cfg_.links:
                 arr[:] = rng.integers(-256, 256, arr.shape) / 128.0
-            before = obs.measure(cfg_)
+            before = obs.measure(cfg_)[0]
             g_exact = rng.integers(-8, 8, (5, 5)) / 4.0
         else:
             # center gauge g_v in {+I, -I}: sign flips stay bitwise exact
@@ -675,7 +678,7 @@ def _gauge_bit_identity_clauses(eps):
             g_exact = np.zeros((5, 5, 2, 2), dtype=complex)
             g_exact[..., 0, 0] = signs
             g_exact[..., 1, 1] = signs
-        after = obs.measure(gauge_transform(cfg_, g_exact))
+        after = obs.measure(gauge_transform(cfg_, g_exact))[0]
         bit = np.array_equal(before.view(np.float64), after.view(np.float64))
         clauses.append(Clause(f"{fam} gauge bit-identity (exact diagonal gauge)",
                               bit, ""))
@@ -684,7 +687,7 @@ def _gauge_bit_identity_clauses(eps):
             g_any = rng.uniform(-np.pi, np.pi, (5, 5))
         else:
             g_any = haar_sample(fam, rng, (5, 5))
-        after2 = obs.measure(gauge_transform(cfg_, g_any))
+        after2 = obs.measure(gauge_transform(cfg_, g_any))[0]
         clauses.append(Clause(f"{fam} gauge invariance to 1e-12 (generic gauge)",
                               bool(np.max(np.abs(after2 - before)) < 1e-12),
                               f"max dev {np.max(np.abs(after2 - before)):.1e}"))

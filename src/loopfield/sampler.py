@@ -33,7 +33,15 @@ matrix arithmetic; only the rounding of the SU(2) links differs.
 
 Wilson loops and strings are measured on a thinned schedule after burn-in;
 estimates carry naive and blocked standard errors plus an integrated
-autocorrelation time.
+autocorrelation time.  One `WilsonObservable` holds every subject of a
+stream and measures them all in one call per measurement row: it gathers
+only the links the subjects use (inverting those a loop runs backwards)
+and folds hol = hol U_j over the bond positions of all loops at once, in
+the bond order of each loop.  U(1) sums the signed angles in that order and
+U(2) and SU(3) multiply matrices, with the bits of one loop at a time; SU(2)
+multiplies Cayley-Klein first rows and takes Tr = 2 Re a, so its values
+may differ from a loop-at-a-time matrix product by rounding, as SO(3)'s
+stacked real products may.
 
 `sample_iid` draws the same measure exactly, with no chain.  On a box with a
 free boundary the plaquette holonomies are independent, each with density
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -399,50 +408,96 @@ def _vonmises(rng, mu, kappa):
 
 
 class WilsonObservable:
-    """A loop or string with bonds resolved to box indices."""
+    """The loops and strings of one stream, with their bonds compiled to one table.
 
-    def __init__(self, subject, box: LatticeBox, offset=(0, 0)):
-        self.subject = subject
+    `parts` lists the bonds `(orient, bx, by, sign)` of every loop, subject
+    by subject.  The table numbers the distinct (direction, bond) pairs the
+    subjects use, forward ones first, then reversed ones, then one identity
+    slot, and holds each non-empty loop as a row of those numbers, padded
+    with the identity slot to the longest loop.  A subject with fewer
+    non-empty loops than the most (a loop beside strings, an empty loop,
+    TRIVIAL_LOOP) gets identity rows that `measure` skips, so they
+    contribute exactly 1.
+    """
+
+    def __init__(self, subjects, box: LatticeBox, offset=(0, 0)):
         self.box = box
         self.parts = []
         ox, oy = offset
-        for loop in as_string(subject):
-            idx = []
-            for (x, y, d) in loop.word:
-                bx, by = x + ox, y + oy
-                if d == 0:
-                    idx.append((0, bx, by, +1))
-                elif d == 2:
-                    idx.append((0, bx - 1, by, -1))
-                elif d == 1:
-                    idx.append((1, bx, by, +1))
-                else:
-                    idx.append((1, bx, by - 1, -1))
-            for orient, bx, by, _ in idx:
-                lim = (box.width, box.height + 1) if orient == 0 else (box.width + 1, box.height)
-                if not (0 <= bx < lim[0] and 0 <= by < lim[1]):
-                    raise SamplerError("loop exits the box; enlarge it or shift the offset")
-            self.parts.append(idx)
+        per_subject = []  # the non-empty loops of each subject
+        for subject in subjects:
+            loops = []
+            for loop in as_string(subject):
+                idx = []
+                for (x, y, d) in loop.word:
+                    bx, by = x + ox, y + oy
+                    if d == 0:
+                        idx.append((0, bx, by, +1))
+                    elif d == 2:
+                        idx.append((0, bx - 1, by, -1))
+                    elif d == 1:
+                        idx.append((1, bx, by, +1))
+                    else:
+                        idx.append((1, bx, by - 1, -1))
+                for orient, bx, by, _ in idx:
+                    lim = (box.width, box.height + 1) if orient == 0 else (box.width + 1, box.height)
+                    if not (0 <= bx < lim[0] and 0 <= by < lim[1]):
+                        raise SamplerError("loop exits the box; enlarge it or shift the offset")
+                self.parts.append(idx)
+                if idx:
+                    loops.append([(sgn < 0, o, bx, by) for o, bx, by, sgn in idx])
+            per_subject.append(loops)
+        used = sorted({key for loops in per_subject for loop in loops for key in loop})
+        slot = {key: i for i, key in enumerate(used)}
+        rev, orient, xs, ys = np.array(used, dtype=np.intp).reshape(-1, 4).T
+        # per direction (forward, reversed), the x and y arrays of each orientation
+        self._bonds = [[(o, xs[(rev == r) & (orient == o)], ys[(rev == r) & (orient == o)])
+                        for o in (0, 1)] for r in (0, 1)]
+        n_loops = max(map(len, per_subject), default=0) or 1
+        length = max((len(loop) for loops in per_subject for loop in loops), default=1)
+        table = np.full((len(per_subject), n_loops, length), len(used))
+        self._real = np.zeros((len(per_subject), n_loops), dtype=bool)
+        for s, loops in enumerate(per_subject):
+            for k, loop in enumerate(loops):
+                table[s, k, :len(loop)] = [slot[key] for key in loop]
+                self._real[s, k] = True
+        self._table = table.reshape(-1, length)
 
     def measure(self, cfg: LatticeConfiguration) -> np.ndarray:
-        """W per chain (complex)."""
-        vals = np.ones(cfg.n_chains, dtype=complex)
-        n = cfg.spec.n
-        for idx in self.parts:
-            if not idx:
-                continue
-            if cfg.is_u1:
-                tot = np.zeros(cfg.n_chains)
-                for orient, bx, by, sgn in idx:
-                    tot = tot + sgn * cfg.links[orient][:, bx, by]
-                vals = vals * np.exp(1j * tot)
-            else:
-                hol = None
-                for orient, bx, by, sgn in idx:
-                    u = cfg.links[orient][:, bx, by]
-                    u = u if sgn > 0 else inverse(u)
-                    hol = u if hol is None else hol @ u
-                vals = vals * np.trace(hol, axis1=-2, axis2=-1) / n
+        """W of every subject per chain (complex), shape (n_subjects, n_chains).
+
+        Gathers the links the subjects use, inverted where a loop runs a bond
+        backwards, and folds hol = hol U_j over the bond positions for all
+        loops at once: U(1) sums signed angles, SU(2) multiplies first rows
+        (a, b) and takes the trace 2 Re a, the other groups multiply
+        matrices.  Each subject's value is the product of its loops' Tr / n,
+        in loop order.
+        """
+        spec, chains, n = cfg.spec, cfg.n_chains, cfg.spec.n
+        forward, backward = (np.concatenate([cfg.links[o][:, bx, by] for o, bx, by in bonds],
+                                            axis=1) for bonds in self._bonds)
+        if cfg.is_u1:
+            one, inv, mul = np.zeros(()), np.negative, np.add
+        elif spec == SU2:
+            forward, backward = forward[..., 0, :], backward[..., 0, :]
+            one, inv, mul = np.array([1.0 + 0j, 0j]), su2_row_inverse, su2_row_multiply
+        else:
+            one, inv, mul = np.eye(n, dtype=spec.dtype), inverse, np.matmul
+        links = np.concatenate([forward, inv(backward),
+                                np.broadcast_to(one, (chains, 1) + one.shape)], axis=1)
+        hol = links[:, self._table[:, 0]]
+        for j in range(1, self._table.shape[1]):
+            hol = mul(hol, links[:, self._table[:, j]])
+        if cfg.is_u1:
+            tr = np.exp(1j * hol)
+        elif spec == SU2:
+            tr = 2.0 * hol[..., 0].real
+        else:
+            tr = np.trace(hol, axis1=-2, axis2=-1)
+        tr = tr.reshape((chains,) + self._real.shape).transpose(1, 2, 0)
+        vals = np.ones((len(self._real), chains), dtype=complex)
+        for k in range(self._real.shape[1]):
+            vals = np.where(self._real[:, k, None], vals * tr[:, k] / n, vals)
         return vals
 
 
@@ -478,13 +533,15 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
     acceptance during burn-in only.  meta holds the final proposal width,
     the mean Metropolis acceptance over the burn-in and over the measurement
     sweeps (each None for the heat bath, or when there were no such sweeps),
-    the number of sweeps and the largest drift `reunitarize` removed (None
-    when no projection ran).
+    the number of sweeps, the largest drift `reunitarize` removed (None
+    when no projection ran) and the seconds spent sampling (`sample_s`: hot
+    start and sweeps) and measuring (`measure_s`).
     """
     box, offset = box_for_subjects(subjects, margin=margin)
+    obs = WilsonObservable(subjects, box, offset)
+    start, measure_s = time.perf_counter(), 0.0
     rng = np.random.default_rng(schedule.seed)
     cfg = init_config(box, params, "hot", rng, chains=schedule.chains)
-    obs = [WilsonObservable(s, box, offset) for s in subjects]
     use_hb = cfg.is_u1
     scale = PROPOSAL_SCALE
     acc_hist = []
@@ -512,9 +569,12 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
             sweeps_done += 1
             if not use_hb and sweeps_done % 2500 == 0:
                 drifts.append(reunitarize(cfg))
-        rows.append(np.stack([o.measure(cfg) for o in obs]))
+        t = time.perf_counter()
+        rows.append(obs.measure(cfg))
+        measure_s += time.perf_counter() - t
         if progress is not None:
             progress(m, n_meas)
+    sample_s = time.perf_counter() - start - measure_s
     samples = np.stack(rows)  # (n_meas, n_subjects, n_chains)
     meta = {"box": box, "offset": offset,
             "proposal_scale": None if use_hb else scale,
@@ -522,7 +582,8 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
             "acceptance_burn_in": _mean_or_none(acc_hist),
             "acceptance_measure": _mean_or_none(meas_acc),
             "sweeps": schedule.burn_in + sweeps_done,
-            "reunitarize_drift": max(drifts, default=None)}
+            "reunitarize_drift": max(drifts, default=None),
+            "sample_s": sample_s, "measure_s": measure_s}
     return samples, meta
 
 
@@ -588,7 +649,8 @@ def class_angles(params: ActionParams, u):
     # the root in [0, 1] of a t + (b - a) t^2 / 2 = c (a + b) / 2
     den = a + np.sqrt((1.0 - c) * a * a + c * b * b)
     t = np.divide(c * (a + b), den, out=c.copy(), where=den > 0)
-    return (j + t) * (2.0 * np.pi / (cdf.size - 1))
+    theta = (j + t) * (2.0 * np.pi / (cdf.size - 1))
+    return np.minimum(theta, np.nextafter(2.0 * np.pi, 0.0))  # rounding can reach 2 pi
 
 
 def _axial_draw(box: LatticeBox, params: ActionParams, rng, chains: int):
@@ -639,20 +701,26 @@ def sample_iid(params: ActionParams, subjects, schedule: MCSchedule,
     with n_meas = sweeps // thin; each row measures `chains` fresh axial-gauge
     draws, so burn_in plays no part.  meta has run_chain's keys, with
     algorithm "iid-axial", sweeps 0 and None for the proposal scale, both
-    acceptances and the drift.  Groups: IID_GROUPS.
+    acceptances and the drift; `sample_s` times the draws.  Groups:
+    IID_GROUPS.
     """
     if params.spec not in IID_GROUPS:
         raise SamplerError(f"no class-angle sampler for {params.spec}")
     box, offset = box_for_subjects(subjects, margin=margin)
+    obs = WilsonObservable(subjects, box, offset)
+    start, measure_s = time.perf_counter(), 0.0
     rng = np.random.default_rng(schedule.seed)
-    obs = [WilsonObservable(s, box, offset) for s in subjects]
     rows = []
     for _ in range(schedule.sweeps // schedule.thin):
         cfg = _axial_draw(box, params, rng, schedule.chains)
-        rows.append(np.stack([o.measure(cfg) for o in obs]))
+        t = time.perf_counter()
+        rows.append(obs.measure(cfg))
+        measure_s += time.perf_counter() - t
     meta = {"box": box, "offset": offset, "proposal_scale": None,
             "algorithm": "iid-axial", "acceptance_burn_in": None,
-            "acceptance_measure": None, "sweeps": 0, "reunitarize_drift": None}
+            "acceptance_measure": None, "sweeps": 0, "reunitarize_drift": None,
+            "sample_s": time.perf_counter() - start - measure_s,
+            "measure_s": measure_s}
     return np.stack(rows), meta
 
 

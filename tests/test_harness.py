@@ -303,7 +303,7 @@ def test_every_report_carries_provenance(tmp_path, monkeypatch):
 
 DIAGNOSTIC_KEYS = {"group", "epsilon", "box", "algorithm", "proposal_scale",
                    "acceptance_burn_in", "acceptance_measure", "sweeps",
-                   "reunitarize_drift", "tau_int"}
+                   "reunitarize_drift", "sample_s", "measure_s", "tau_int"}
 
 
 @pytest.mark.parametrize("name,extra,n_chains", [
@@ -324,5 +324,31 @@ def test_mc_reports_carry_chain_diagnostics(tmp_path, name, extra, n_chains):
         assert entry["tau_int"] and all(t >= 1.0 for t in entry["tau_int"].values())
         if entry["algorithm"] == "metropolis":
             assert 0.0 <= entry["acceptance_measure"] <= 1.0
+        assert entry["sample_s"] > 0.0 and entry["measure_s"] > 0.0
     header = (tmp_path / "mc.csv").read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
+
+
+def test_fd_gap_z_pairs_the_two_streams(tmp_path):
+    # the fd stream and the unified stream share the [mc] seed and the row
+    # layout, so the gap's z-score comes from the row-by-row paired series
+    from loopfield.equations import (finite_difference_alternating,
+                                     unified_equation_reports)
+    from loopfield.groups import GroupSpec
+    from loopfield.sampler import MCSchedule, make_estimate
+    path = _write(tmp_path, "[experiment]\nname = converge-unified\n"
+                            "[grid]\nepsilons = 0.5\n[geometry]\nt2 = 1.0\nt4 = 1.0\n"
+                            "[groups]\nlist = SU2\n[mc]\nsweeps = 48\nburn_in = 20\n"
+                            "thin = 2\nchains = 3\nseed = 11\n[output]\npath = mc\n")
+    assert run_experiment(path, out_dir=str(tmp_path)) in (EXIT_OK, EXIT_FAIL)
+    row, = [r for r in json.loads((tmp_path / "mc.json").read_text())["rows"]
+            if r["term"] == "fd-alternating-sum"]
+    su2, sched = GroupSpec("SU", 2), MCSchedule(48, 20, 2, 3, 11)
+    out = unified_equation_reports(su2, 0.5, sched, t2=1.0, t4=1.0)
+    fd = finite_difference_alternating(su2, 0.5, sched, t2=1.0, t4=1.0,
+                                       step_plaquettes=2)
+    assert fd["series"].shape == out["rhs_series"].shape == (24, 3)
+    paired = make_estimate(fd["series"] - out["rhs_series"])
+    assert row["gap_sigma"] == paired.sigma
+    assert row["gap_z"] == paired.mean / paired.sigma
+    assert row["gap"] == pytest.approx(abs(paired.mean), rel=1e-12)

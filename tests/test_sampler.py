@@ -10,7 +10,8 @@ from loopfield.groups import (GroupSpec, exp_coords, haar_sample, inverse, is_in
                               su2_row_multiply)
 from loopfield.action import ActionParams, char_coefficient, partition_function, \
     unnormalized_weight, standard_label, action_exponent_scale
-from loopfield.loops import plaquette_loop, make_loop_from_moves
+from loopfield.loops import (plaquette_loop, make_loop_from_moves, LoopString,
+                             TRIVIAL_LOOP, as_string)
 from loopfield.sampler import (LatticeBox, MCSchedule, init_config,
                                total_action, _staple_u1, _staples,
                                sweep_metropolis, sweep_heatbath_u1,
@@ -322,14 +323,14 @@ def test_gauge_invariance_all_groups():
         box = LatticeBox(4, 4)
         cfg = init_config(box, params, "hot", rng, chains=2)
         loop = make_loop_from_moves((1, 1), "RURULLDD")
-        obs = WilsonObservable(loop, box, (0, 0))
-        before = obs.measure(cfg)
+        obs = WilsonObservable([loop], box, (0, 0))
+        before = obs.measure(cfg)[0]
         if spec == U1:
             g = rng.uniform(-np.pi, np.pi, (5, 5))
         else:
             g = haar_sample(spec, rng, (5, 5))
         cfg2 = gauge_transform(cfg, g)
-        after = obs.measure(cfg2)
+        after = obs.measure(cfg2)[0]
         assert np.max(np.abs(after - before)) < 1e-12
         # plaquette traces are invariant too
         tr1 = plaquette_product(cfg)
@@ -355,14 +356,110 @@ def test_identity_gauge_is_noop():
 def test_loop_exits_box_error():
     box = LatticeBox(2, 2)
     with pytest.raises(SamplerError):
-        WilsonObservable(make_loop_from_moves((0, 0), "RRRULLLD"), box, (0, 0))
+        WilsonObservable([make_loop_from_moves((0, 0), "RRRULLLD")], box, (0, 0))
 
 
 def test_box_for_subjects_margin():
     loop = make_loop_from_moves((0, 0), "RULD")
     box, offset = box_for_subjects([loop], margin=4)
     assert box.width == 9 and box.height == 9
-    WilsonObservable(loop, box, offset)  # fits
+    WilsonObservable([loop], box, offset)  # fits
+
+
+def _reference_measure(parts, cfg):
+    """W per chain of one subject, bond by bond: the fold `measure` batches."""
+    vals = np.ones(cfg.n_chains, dtype=complex)
+    for idx in parts:
+        if not idx:
+            continue
+        if cfg.is_u1:
+            tot = np.zeros(cfg.n_chains)
+            for orient, bx, by, sgn in idx:
+                tot = tot + sgn * cfg.links[orient][:, bx, by]
+            vals = vals * np.exp(1j * tot)
+        else:
+            hol = None
+            for orient, bx, by, sgn in idx:
+                u = cfg.links[orient][:, bx, by]
+                u = u if sgn > 0 else inverse(u)
+                hol = u if hol is None else hol @ u
+            vals = vals * np.trace(hol, axis1=-2, axis2=-1) / cfg.spec.n
+    return vals
+
+
+def _rectangle(x, y, w, h, ccw):
+    moves = "R" * w + "U" * h + "L" * w + "D" * h
+    if not ccw:
+        moves = "U" * h + "R" * w + "D" * h + "L" * w
+    return make_loop_from_moves((x, y), moves)
+
+
+@st.composite
+def _rectangles(draw, width, height):
+    w, h = draw(st.integers(1, width)), draw(st.integers(1, height))
+    return _rectangle(draw(st.integers(0, width - w)), draw(st.integers(0, height - h)),
+                      w, h, draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), spec=st.sampled_from((U1, GroupSpec("U", 2), SU2, SO3,
+                                             GroupSpec("SU", 3))),
+       width=st.integers(1, 4), height=st.integers(1, 4),
+       chains=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_batched_measure_matches_bond_by_bond_fold(data, spec, width, height,
+                                                   chains, seed):
+    # rectangle boundaries, two-loop strings and TRIVIAL_LOOP, on hot links
+    rect = _rectangles(width, height)
+    subject = st.one_of(rect, st.just(TRIVIAL_LOOP),
+                        st.builds(lambda a, b: LoopString([a, b]), rect,
+                                  st.one_of(rect, st.just(TRIVIAL_LOOP))))
+    subjects = data.draw(st.lists(subject, min_size=1, max_size=5))
+    box = LatticeBox(width, height)
+    cfg = init_config(box, ActionParams(spec, 0.7), "hot",
+                      np.random.default_rng(seed), chains=chains)
+    obs = WilsonObservable(subjects, box)
+    values = obs.measure(cfg)
+    assert values.shape == (len(subjects), chains)
+    k = 0
+    for subject, value in zip(subjects, values):
+        n_loops = len(as_string(subject))
+        ref = _reference_measure(obs.parts[k:k + n_loops], cfg)
+        k += n_loops
+        if spec in (U1, GroupSpec("U", 2), GroupSpec("SU", 3)):
+            assert np.array_equal(value.view(np.float64), ref.view(np.float64))
+        else:
+            assert np.max(np.abs(value - ref)) <= 1e-13
+        if all(not loop.word for loop in as_string(subject)):
+            assert np.all(value == 1.0)
+    assert k == len(obs.parts)
+    # one subject outside the box anywhere in the list
+    outside = _rectangle(width, 0, 1, 1, True)
+    at = data.draw(st.integers(0, len(subjects)))
+    with pytest.raises(SamplerError):
+        WilsonObservable(subjects[:at] + [outside] + subjects[at:], box)
+
+
+@pytest.mark.parametrize("draw", [run_chain, sample_iid], ids=lambda f: f.__name__)
+def test_one_measure_call_per_row(monkeypatch, draw):
+    # every subject of a stream is measured by one call per measurement row,
+    # and `parts` holds every bond of every subject once
+    calls = []
+    measure = WilsonObservable.measure
+
+    def counted(self, cfg):
+        calls.append(self)
+        return measure(self, cfg)
+
+    monkeypatch.setattr(WilsonObservable, "measure", counted)
+    subjects = [plaquette_loop((0, 0)), make_loop_from_moves((0, 0), "RRULLD"),
+                LoopString([plaquette_loop((1, 0)), plaquette_loop((0, 1))]),
+                TRIVIAL_LOOP]
+    sched = MCSchedule(sweeps=10, burn_in=4, thin=2, chains=3, seed=8)
+    samples, _ = draw(ActionParams(SU2, 0.7), subjects, sched, margin=1)
+    assert samples.shape == (5, 4, 3)
+    assert len(calls) == 5 and len(set(map(id, calls))) == 1
+    words = sum(len(loop.word) for s in subjects for loop in as_string(s))
+    assert sum(len(idx) for idx in calls[0].parts) == words == 18
 
 
 def test_blocked_error_exceeds_naive_on_correlated_series():
@@ -485,6 +582,7 @@ def test_sample_iid_contract():
     assert not np.array_equal(s1, sample_iid(params, subjects,
                                              MCSchedule(7, 3, 2, 5, 13), margin=2)[0])
     box, offset = box_for_subjects(subjects, margin=2)
+    assert meta.pop("sample_s") > 0.0 and meta.pop("measure_s") > 0.0
     assert meta == {"box": box, "offset": offset, "proposal_scale": None,
                     "algorithm": "iid-axial", "acceptance_burn_in": None,
                     "acceptance_measure": None, "sweeps": 0,
