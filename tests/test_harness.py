@@ -5,11 +5,13 @@ import subprocess
 import sys
 from collections.abc import Mapping
 
+import numpy as np
 import pytest
 
 from loopfield.harness import (load_config, ConfigError, run_experiment,
                                emit_fixtures, EXIT_OK, EXIT_FAIL, EXIT_CONFIG,
                                EXPERIMENTS, SCHEMA, CSV_COLUMNS)
+from loopfield.harness import _chi2_clause, _chi2_sf, _ks_pvalue, _ks_statistic
 from loopfield.cli import main as cli_main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -129,6 +131,66 @@ def test_harness_import_leaves_ndimage_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_sample_diagnostics_leaves_scipy_stats_unloaded(tmp_path):
+    # the chain-statistics p-values come from scipy.special; scipy.stats
+    # would add its hundreds of modules to every run
+    import loopfield
+    src = os.path.dirname(os.path.dirname(loopfield.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    path = _write(tmp_path, "[experiment]\nname = sample-diagnostics\n"
+                            + _SMALL["sample-diagnostics"])
+    code = ("import sys\nfrom loopfield.harness import run_experiment\n"
+            f"run_experiment({path!r}, out_dir={str(tmp_path)!r})\n"
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_chi2_sf_equals_scipy_stats():
+    from scipy import stats
+    xs = np.linspace(0.0, 200.0, 801)
+    for dof in range(1, 41):
+        ref = stats.chi2.sf(xs, dof)
+        ours = np.array([_chi2_sf(x, dof) for x in xs])
+        assert np.array_equal(ours, ref), dof
+
+
+def test_ks_statistic_equals_scipy_stats():
+    from scipy import stats
+    rng = np.random.default_rng(11)
+    for n in (50, 1000, 10_000):
+        for _ in range(5):
+            u = rng.random(n)
+            assert _ks_statistic(u) == stats.kstest(u, "uniform").statistic, n
+
+
+def test_ks_pvalue_is_exact_in_the_tail_and_an_upper_bound_elsewhere():
+    # scipy's exact kstwo.sf is 2 smirnov(n, d) wherever n d^2 >= 2.2; the
+    # grid starts at d = 0.006, above kstwo's slow small-d branch, and is
+    # coarse because smirnov evaluates an exact sum of up to n terms
+    from scipy import stats
+    n = 10_000
+    ds = np.linspace(0.006, 0.036, 121)
+    exact = stats.kstwo.sf(ds, n)
+    ours = np.array([_ks_pvalue(n, d) for d in ds])
+    tail = exact < 0.02
+    assert 0 < tail.sum() < ds.size
+    assert np.array_equal(ours[tail], exact[tail])
+    assert np.all(ours[~tail] >= exact[~tail])
+    # the 1% gate decides alike everywhere on the grid
+    assert np.array_equal(ours > 0.01, exact > 0.01)
+
+
+def test_chi2_clause_without_degrees_of_freedom_fails():
+    # no bin pair reached the count threshold: no evidence, so no PASS
+    clause = _chi2_clause("detailed balance", 0.0, 0,
+                          "no bin pair with >= 16 transitions")
+    assert not clause.passed
+    assert "no bin pair with >= 16 transitions" in clause.line()
+    assert _chi2_clause("detailed balance", 0.0, 1, "unused").passed
 
 
 def test_fixture_generation(tmp_path):
@@ -282,9 +344,17 @@ def test_every_report_carries_provenance(tmp_path, monkeypatch):
         assert run_experiment(path, out_dir=str(tmp_path / name)) in (EXIT_OK, EXIT_FAIL)
         payload = json.loads((tmp_path / name / "out.json").read_text())
         timings = payload["timings"]
+        stages = timings.pop("stages_s", None)
         assert set(timings) == {"load_config_s", "experiment_s"}
         assert all(t >= 0.0 for t in timings.values())
         assert timings["experiment_s"] == payload["runtime_seconds"]
+        if name == "sample-diagnostics":
+            assert set(stages) == {"plaquette_chains", "equations", "gauge",
+                                   "chain_statistics", "volume_doubling"}
+            assert all(t >= 0.0 for t in stages.values())
+            assert sum(stages.values()) <= timings["experiment_s"]
+        else:
+            assert stages is None
         prov = payload["provenance"]
         assert prov["config_sha256"] == hashlib.sha256(open(path, "rb").read()).hexdigest()
         assert (prov["loopfield"], prov["numpy"], prov["scipy"]) == (
