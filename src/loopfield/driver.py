@@ -37,8 +37,9 @@ import numpy as np
 from loopfield.groups import GroupSpec
 from loopfield.action import (ActionParams, char_coefficient, standard_label,
                               heat_kernel_eval, heat_kernel_theta_derivative_u1)
-from loopfield.loops import (DIR_CHARS, DIRS, Loop, LoopString, as_string,
-                             CrossingAnnotation, make_loop, _canonical_rotation)
+from loopfield.loops import (DIRS, Loop, LoopString, as_string, bond_edge,
+                             CrossingAnnotation, make_loop, walk_moves,
+                             _canonical_rotation)
 
 
 class DriverError(ValueError):
@@ -172,14 +173,9 @@ def _all_bonds(obj):
 
 
 def _edge_key(b):
-    x, y, d = b
-    if d == 0:
-        return ((x, y), "H")
-    if d == 2:
-        return ((x - 1, y), "H")
-    if d == 1:
-        return ((x, y), "V")
-    return ((x, y - 1), "V")
+    """The undirected edge ((x, y), "H" or "V") that bond b runs along."""
+    orient, x, y, _ = bond_edge(b)
+    return ((x, y), "HV"[orient])
 
 
 def _occupied_edges(obj):
@@ -489,18 +485,6 @@ def _crossing_loop(e_first, lobe_a, e_second, lobe_b):
     return loop, ann
 
 
-def _path(start, moves):
-    """Bond list from a start vertex and a move string."""
-    x, y = start
-    word = []
-    for ch in moves:
-        d = DIR_CHARS.index(ch)
-        word.append((x, y, d))
-        dx, dy = DIRS[d]
-        x, y = x + dx, y + dy
-    return word, (x, y)
-
-
 def _near_square_dims(count: int):
     """(height, width) with height * width = count, height as even as possible."""
     h = max(2, int(round(math.sqrt(count))))
@@ -535,7 +519,7 @@ def make_rectangle(t: float, epsilon: float):
     """
     count = max(1, int(round(t / epsilon**2)))
     h, w = _near_square_dims(count)
-    word, _ = _path((0, 0), "R" * w + "U" * h + "L" * w + "D" * h)
+    word, _ = walk_moves((0, 0), "R" * w + "U" * h + "L" * w + "D" * h)
     loop = make_loop(word)
     return loop, count * epsilon**2
 
@@ -549,10 +533,10 @@ def make_figure_eight(t2: float, t4: float, epsilon: float) -> CrossingGeometry:
     c2, h2, w2 = _lobe_dims(t2, epsilon)
     c4, h4, w4 = _lobe_dims(t4, epsilon)
 
-    e_eps, _ = _path((0, -1), "UU")
-    east, endp = _path((0, 1), "U" * (h4 - 2) + "R" * w4 + "D" * h4 + "L" * w4)
+    e_eps, _ = walk_moves((0, -1), "UU")
+    east, endp = walk_moves((0, 1), "U" * (h4 - 2) + "R" * w4 + "D" * h4 + "L" * w4)
     assert endp == (0, -1)
-    west, endp = _path((0, 1), "L" * w2 + "D" * h2 + "R" * w2 + "U" * (h2 - 2))
+    west, endp = walk_moves((0, 1), "L" * w2 + "D" * h2 + "R" * w2 + "U" * (h2 - 2))
     assert endp == (0, -1)
     loop, ann = _crossing_loop(e_eps, east, e_eps, west)
     return CrossingGeometry(
@@ -578,12 +562,12 @@ def make_figure_eight_reversed(t2: float, t4: float, epsilon: float) -> Crossing
     c2, h2, w2 = _lobe_dims(t2, epsilon)
     c4, h4, w4 = _lobe_dims(t4, epsilon)
 
-    north, endp = _path((0, 1), "U" * h4 + "R" * w4 + "D" * h4 + "L" * w4)
+    north, endp = walk_moves((0, 1), "U" * h4 + "R" * w4 + "D" * h4 + "L" * w4)
     assert endp == (0, 1)
-    south, endp = _path((0, -1), "L" * w2 + "D" * h2 + "R" * w2 + "U" * h2)
+    south, endp = walk_moves((0, -1), "L" * w2 + "D" * h2 + "R" * w2 + "U" * h2)
     assert endp == (0, -1)
-    loop, ann = _crossing_loop(_path((0, -1), "UU")[0], north,
-                               _path((0, 1), "DD")[0], south)
+    loop, ann = _crossing_loop(walk_moves((0, -1), "UU")[0], north,
+                               walk_moves((0, 1), "DD")[0], south)
     return CrossingGeometry(
         kind="figure-eight-reversed",
         epsilon=epsilon,
@@ -609,10 +593,10 @@ def make_coil(t4: float, epsilon: float, margin: float = 0.5) -> CrossingGeometr
     top_y = h4 - 1 + g
     bot_y = -1 - g
 
-    e_eps, _ = _path((0, -1), "UU")
-    east, endp = _path((0, 1), "U" * (h4 - 2) + "R" * w4 + "D" * h4 + "L" * w4)
+    e_eps, _ = walk_moves((0, -1), "UU")
+    east, endp = walk_moves((0, 1), "U" * (h4 - 2) + "R" * w4 + "D" * h4 + "L" * w4)
     assert endp == (0, -1)
-    wrap, endp = _path(
+    wrap, endp = walk_moves(
         (0, 1),
         "L"
         + "U" * (top_y - 1)
@@ -656,8 +640,8 @@ def make_limacon(t4: float, t2: float, epsilon: float,
     top_y = max(h4 - 1, h2) + g
     bot_y = min(-1, 1 - h2) - g
 
-    e_eps, _ = _path((0, -1), "UU")
-    east, endp = _path((0, 1), "U" * (h4 - 2) + "R" * w4 + "D" * h4 + "L" * w4)
+    e_eps, _ = walk_moves((0, -1), "UU")
+    east, endp = walk_moves((0, 1), "U" * (h4 - 2) + "R" * w4 + "D" * h4 + "L" * w4)
     assert endp == (0, -1)
     # lens top to J, excursion frame, back through J, lens west/bottom/east
     moves = (
@@ -674,7 +658,7 @@ def make_limacon(t4: float, t2: float, epsilon: float,
         + "R" * w2                               # lens bottom
         + "U" * (h2 - 2)                         # lens east side up to u
     )
-    west, endp = _path((0, 1), moves)
+    west, endp = walk_moves((0, 1), moves)
     assert endp == (0, -1), endp
     loop, ann = _crossing_loop(e_eps, east, e_eps, west)
     frame_area = (gx + east_x) * (top_y - bot_y) - (top_y - 2) * 1
@@ -707,20 +691,20 @@ def make_crossing_squares(side: float, overlap: float, epsilon: float) -> Crossi
     s = max(k + 3, int(round(side / epsilon)))     # full square side
     lo = k - s
 
-    rest, endp = _path((k + 1, 0), "R" * (s - k - 1) + "U" * s + "L" * s + "D" * s)
+    rest, endp = walk_moves((k + 1, 0), "R" * (s - k - 1) + "U" * s + "L" * s + "D" * s)
     assert endp == (0, 0)
-    rest2, endp = _path((k, 3), "U" * (k - 3) + "L" * s + "D" * s)
+    rest2, endp = walk_moves((k, 3), "U" * (k - 3) + "L" * s + "D" * s)
     assert endp == (lo, lo), endp
     loops, ann = _annotated_loops(
-        [(_path((0, 0), "R" * (k - 1))[0], None),
-         (_path((k - 1, 0), "DR")[0], "e3"),    # traversed bonds of e3^-1
-         (_path((k, -1), "UU")[0], "e_first"),
-         (_path((k, 1), "RD")[0], "e1"),        # bump back to the bottom row
+        [(walk_moves((0, 0), "R" * (k - 1))[0], None),
+         (walk_moves((k - 1, 0), "DR")[0], "e3"),    # traversed bonds of e3^-1
+         (walk_moves((k, -1), "UU")[0], "e_first"),
+         (walk_moves((k, 1), "RD")[0], "e1"),        # bump back to the bottom row
          (rest, None)],
-        [(_path((lo, lo), "R" * s + "U" * (-3 - lo))[0], None),
-         (_path((k, -3), "UU")[0], "e4"),
-         (_path((k, -1), "UU")[0], "e_second"),
-         (_path((k, 1), "UU")[0], "e2"),
+        [(walk_moves((lo, lo), "R" * s + "U" * (-3 - lo))[0], None),
+         (walk_moves((k, -3), "UU")[0], "e4"),
+         (walk_moves((k, -1), "UU")[0], "e_second"),
+         (walk_moves((k, 1), "UU")[0], "e2"),
          (rest2, None)])
     string = LoopString(tuple(loops))
     area = float(s * s) * epsilon**2

@@ -41,6 +41,8 @@ from loopfield.driver import (U1Backend, area_derivative,
 from loopfield.sampler import (IID_GROUPS, MCSchedule, run_chain, sample_iid,
                                make_estimate, Estimate)
 
+FD_STEP_PLAQUETTES = 2  # lobe-area step of finite_difference_alternating, in plaquettes
+
 
 class EquationError(ValueError):
     pass
@@ -593,18 +595,18 @@ def unified_equation_reports(spec: GroupSpec, epsilon: float,
 
 def finite_difference_alternating(spec: GroupSpec, epsilon: float,
                                   schedule: MCSchedule, t2: float = 0.5,
-                                  t4: float = 0.5, step_plaquettes: int = 1):
+                                  t4: float = 0.5):
     """(d1-d2+d3-d4) E W by central differences of Monte-Carlo estimates.
 
     Rebuilds the figure-eight with each bounded lobe area shifted by
-    +/- step_plaquettes * eps^2 and measures the four shifted loops on one
+    +/- FD_STEP_PLAQUETTES * eps^2 and measures the four shifted loops on one
     sample stream, over the box that holds all four.  The differences share their
     random numbers, so sigma is the blocked error of the per-measurement
     series of the whole alternating sum: it carries the correlation of the
     four loops, which a sum of their separate variances would ignore.
     Returns that (n_meas, n_chains) series too, as "series".
     """
-    h = step_plaquettes * epsilon**2
+    h = FD_STEP_PLAQUETTES * epsilon**2
     subjects = {label: make_figure_eight(t2 + d2s, t4 + d4s, epsilon).subject
                 for label, (d2s, d4s) in {"t2+": (h, 0), "t2-": (-h, 0),
                                           "t4+": (0, h), "t4-": (0, -h)}.items()}

@@ -39,6 +39,18 @@ def bond_inverse(b: Bond) -> Bond:
     return (x, y, (b[2] + 2) % 4)
 
 
+def bond_edge(b: Bond):
+    """(orient, x, y, forward) of bond b: the positively oriented edge it
+    runs along, horizontal (orient 0) or vertical (orient 1) from its
+    lower-left vertex (x, y), and whether b runs along the edge or against
+    it."""
+    x, y, d = b
+    if d < 2:
+        return d, x, y, True
+    x, y = bond_end(b)
+    return d - 2, x, y, False
+
+
 def _check_word(word):
     if not word:
         raise LoopError("empty word")
@@ -131,16 +143,22 @@ def make_loop(raw_word, allow_trivial: bool = False) -> Loop:
     return Loop(canon)
 
 
-def make_loop_from_moves(base, moves: str, allow_trivial=False) -> Loop:
-    """Build a loop from a base point and a move string like 'RULD'."""
-    x, y = base
+def walk_moves(start, moves: str):
+    """The bonds of the path from vertex `start` along a move string like
+    'RULD', and the vertex where the path ends."""
+    x, y = start
     word = []
     for ch in moves:
         d = DIR_CHARS.index(ch)
         word.append((x, y, d))
         dx, dy = DIRS[d]
         x, y = x + dx, y + dy
-    return make_loop(word, allow_trivial=allow_trivial)
+    return word, (x, y)
+
+
+def make_loop_from_moves(base, moves: str, allow_trivial=False) -> Loop:
+    """Build a loop from a base point and a move string like 'RULD'."""
+    return make_loop(walk_moves(base, moves)[0], allow_trivial=allow_trivial)
 
 
 def loop_to_text(l: Loop) -> str:

@@ -5,10 +5,12 @@ plaquettes (free boundary); the weight is
 
     exp( - (beta_g N / 2 eps^2) * sum_p Re Tr(I - Q_p) ).
 
-U(1) chains use the exact heat bath (von Mises conditional); the matrix
-groups use a vectorized Metropolis sweep over four independent sublattices
-(orientation x bond-row parity), with proposals Q -> exp(dA) Q whose width
-starts at PROPOSAL_SCALE and is tuned toward 50% acceptance during burn-in.
+Each group has one Markov kernel.  U(1) chains use the exact heat bath
+(von Mises conditional), `sweep_heatbath_u1`; the matrix groups use
+`sweep_metropolis`, a vectorized Metropolis sweep over four independent
+sublattices (orientation x bond-row parity), with proposals Q -> exp(dA) Q
+whose width starts at PROPOSAL_SCALE and is tuned toward 50% acceptance
+during burn-in.  Each sweep raises SamplerError for the other groups.
 Both updates compute staples per sublattice: each sublattice is a strided
 view of its link array, and its staples multiply strided views of the
 neighbouring links, so no staple is built for a bond the update leaves
@@ -22,7 +24,8 @@ the adjoint and the polar projection in `reunitarize`) are the batched ones
 in `loopfield.groups`, applied to whole link arrays at once.
 
 One routine, `_staples`, holds the plaquette geometry of the staples for
-any product and inverse.  SO(3) passes its link matrices with `@`.  SU(2)
+any product and inverse.  U(1) passes the phases e^{i theta} with
+`np.multiply` and `np.conj`; SO(3) passes its link matrices with `@`.  SU(2)
 links are stored as 2x2 matrices, but the SU(2) sweep passes their first
 rows (a, b) with the Cayley-Klein row operations of `loopfield.groups`,
 since a 2x2 `@` on a stack costs one BLAS call per link and the rows cost a
@@ -69,7 +72,7 @@ from loopfield.groups import (GroupSpec, adjoint_deviation, exp_coords,
                               su2_row_multiply)
 from loopfield.action import (ActionParams, QuadratureError, action_exponent_scale,
                               unnormalized_weight, weyl_weight)
-from loopfield.loops import as_string, bond_start, bond_end
+from loopfield.loops import as_string, bond_edge, bond_start, bond_end
 
 
 PROPOSAL_SCALE = 0.6  # initial Metropolis step width in Lie-algebra coordinates
@@ -238,39 +241,13 @@ def _plaquette_sides(links, orient, start):
     return u0[:, :, :h][sub], u1[:, 1:, :][sub], u0[:, :, 1:][sub], u1[:, :w, :][sub]
 
 
-def _staple_u1(z, orient, parity):
-    """Complex staple K per bond of one sublattice, from the phases
-    z = [e^{i theta} of each link array]: the local weight is
-    exp(scale * Re(e^{i theta} K)).
-
-    Sums the two adjacent plaquette contributions; the plaquette where the
-    bond appears reversed enters through the conjugate product.
-    """
-    k = np.zeros(z[orient][_sublattice(orient, parity)].shape, dtype=complex)
-    if orient == 0:
-        # bond at the bottom of Qp(x, y): theta + (u1[x+1,y] - u0[x,y+1] - u1[x,y])
-        _, b, c, d = _plaquette_sides(z, 0, parity)
-        t = b * np.conj(c) * np.conj(d)
-        k[:, :, :t.shape[2]] += t
-        # bond at the top of Qp(x, y-1): -theta + (u0[x,y-1] + u1[x+1,y-1] - u1[x,y-1])
-        a, b, _, d = _plaquette_sides(z, 0, 1 - parity)
-        k[:, :, 1 - parity:] += np.conj(a * b * np.conj(d))
-        return k
-    # bond as the right side of Qp(x-1, y): theta + (u0[x-1,y] - u0[x-1,y+1] - u1[x-1,y])
-    a, _, c, d = _plaquette_sides(z, 1, 1 - parity)
-    k[:, 1 - parity:] += a * np.conj(c) * np.conj(d)
-    # bond as the left side of Qp(x, y): -theta + (u0[x,y] + u1[x+1,y] - u0[x,y+1])
-    a, b, c, _ = _plaquette_sides(z, 1, parity)
-    t = np.conj(a * b * np.conj(c))
-    k[:, :t.shape[1]] += t
-    return k
-
-
 def _staples(links, orient, parity, mul, inv):
     """Staples K of one sublattice, for links multiplied by `mul` and
     inverted by `inv`: Re Tr(U K) sums the affected plaquette traces.
 
-    The matrix groups pass their link matrices with `np.matmul` and
+    U(1) passes the phases e^{i theta} of its links with `np.multiply` and
+    `np.conj`, and gets complex staples, Re(e^{i theta} K) for a link.  The
+    matrix groups pass their link matrices with `np.matmul` and
     `inverse`; SU(2) passes the first rows of its links with the row
     operations, and gets the first rows of its staples, since a sum of
     SU(2) matrices keeps the Cayley-Klein form.
@@ -305,55 +282,44 @@ def _su2_row_trace(u, k):
 
 def sweep_metropolis(cfg: LatticeConfiguration, rng: np.random.Generator,
                      proposal_scale: float):
-    """One Metropolis sweep over all bonds (4 independent sublattices).
+    """One Metropolis sweep over all bonds (4 independent sublattices) of a
+    matrix group; U(1) chains use `sweep_heatbath_u1`.
 
     Returns the acceptance rate.  Horizontal bonds of equal y-parity (and
     vertical of equal x-parity) share no plaquette, so each sublattice
     updates in parallel while keeping detailed balance.  Each sublattice is
     read, given its staples and written back through one strided view, so
     no staple is built for a bond the update leaves alone; the bonds come in
-    row-major order, which fixes the order of the random draws.
+    row-major order, which fixes the order of the random draws: the
+    proposal coordinates of a sublattice, then its accept/reject uniforms.
     """
     spec = cfg.spec
+    if cfg.is_u1:
+        raise SamplerError("U(1) chains use the heat bath, sweep_heatbath_u1")
     scale = action_exponent_scale(cfg.params)
-    # U(1): e^{i theta} of every link, refreshed on each updated sublattice
-    z = [np.exp(1j * u) for u in cfg.links] if cfg.is_u1 else None
     accepted = 0
     total = 0
     for orient in (0, 1):
         arr = cfg.links[orient]
         for parity in (0, 1):
             sub = _sublattice(orient, parity)
-            if cfg.is_u1:
-                k = _staple_u1(z, orient, parity)
-                theta, z_theta = arr[sub], z[orient][sub]
-                prop = theta + rng.normal(0.0, proposal_scale, theta.shape)
-                z_prop = np.exp(1j * prop)
-                logw = scale * (np.real(z_prop * k) - np.real(z_theta * k))
-                acc = np.log(rng.uniform(size=theta.shape)) < logw
-                arr[sub] = np.where(acc, prop, theta)
-                z_theta[...] = np.where(acc, z_prop, z_theta)
-            elif spec == SU2:
+            u = arr[sub]
+            coords = rng.normal(0.0, proposal_scale, u.shape[:-2] + (spec.dim_lie,))
+            if spec == SU2:
                 k = _staples([a[..., 0, :] for a in cfg.links], orient, parity,
                              su2_row_multiply, su2_row_inverse)
-                u = arr[sub]
                 row = u[..., 0, :]
-                coords = rng.normal(0.0, proposal_scale, row.shape[:-1] + (3,))
-                prop = su2_row_multiply(su2_exp_row(coords), row)
-                logw = scale * (_su2_row_trace(prop, k) - _su2_row_trace(row, k))
-                acc = np.log(rng.uniform(size=logw.shape)) < logw
-                arr[sub] = np.where(acc[..., None, None], su2_row_matrix(prop), u)
+                prop_row = su2_row_multiply(su2_exp_row(coords), row)
+                logw = scale * (_su2_row_trace(prop_row, k) - _su2_row_trace(row, k))
+                prop = su2_row_matrix(prop_row)
             else:
                 k = _staples(cfg.links, orient, parity, np.matmul, inverse)
-                u = arr[sub]
-                coords = rng.normal(0.0, proposal_scale,
-                                    u.shape[:-2] + (spec.dim_lie,))
                 prop = exp_coords(spec, coords) @ u
                 tr_old = np.einsum("...ij,...ji->...", u, k).real
                 tr_new = np.einsum("...ij,...ji->...", prop, k).real
                 logw = scale * (tr_new - tr_old)
-                acc = np.log(rng.uniform(size=logw.shape)) < logw
-                arr[sub] = np.where(acc[..., None, None], prop, u)
+            acc = np.log(rng.uniform(size=logw.shape)) < logw
+            arr[sub] = np.where(acc[..., None, None], prop, u)
             accepted += int(acc.sum())
             total += acc.size
     return accepted / max(total, 1)
@@ -378,7 +344,12 @@ def reunitarize(cfg: LatticeConfiguration) -> float:
 
 
 def sweep_heatbath_u1(cfg: LatticeConfiguration, rng: np.random.Generator):
-    """Exact conditional resampling for U(1): von Mises per bond."""
+    """Exact conditional resampling for U(1): von Mises per bond.
+
+    The staples come from `_staples` on the phases e^{i theta}, multiplied
+    by `np.multiply` and inverted by `np.conj`; a bond's local weight is
+    exp(scale Re(e^{i theta} K)), so theta ~ von Mises(-arg K, scale |K|).
+    """
     if not cfg.is_u1:
         raise SamplerError("heat bath implemented for U(1) only")
     scale = action_exponent_scale(cfg.params)
@@ -386,21 +357,11 @@ def sweep_heatbath_u1(cfg: LatticeConfiguration, rng: np.random.Generator):
     for orient in (0, 1):
         for parity in (0, 1):
             sub = _sublattice(orient, parity)
-            k = _staple_u1(z, orient, parity)
-            kappa = scale * np.abs(k)
-            mu = -np.angle(k)
-            theta = _vonmises(rng, mu, kappa)
+            k = _staples(z, orient, parity, np.multiply, np.conj)
+            theta = rng.vonmises(-np.angle(k), scale * np.abs(k))
             cfg.links[orient][sub] = theta
             z[orient][sub] = np.exp(1j * theta)
     return cfg
-
-
-def _vonmises(rng, mu, kappa):
-    out = rng.vonmises(mu, np.maximum(kappa, 1e-12))
-    flat = kappa < 1e-12
-    if np.any(flat):
-        out = np.where(flat, rng.uniform(-np.pi, np.pi, mu.shape), out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +389,8 @@ class WilsonObservable:
         for subject in subjects:
             loops = []
             for loop in as_string(subject):
-                idx = []
-                for (x, y, d) in loop.word:
-                    bx, by = x + ox, y + oy
-                    if d == 0:
-                        idx.append((0, bx, by, +1))
-                    elif d == 2:
-                        idx.append((0, bx - 1, by, -1))
-                    elif d == 1:
-                        idx.append((1, bx, by, +1))
-                    else:
-                        idx.append((1, bx, by - 1, -1))
+                idx = [(orient, x + ox, y + oy, 1 if forward else -1)
+                       for orient, x, y, forward in map(bond_edge, loop.word)]
                 for orient, bx, by, _ in idx:
                     lim = (box.width, box.height + 1) if orient == 0 else (box.width + 1, box.height)
                     if not (0 <= bx < lim[0] and 0 <= by < lim[1]):
@@ -523,7 +475,7 @@ def box_for_subjects(subjects, margin: int = 4):
 
 
 def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
-              margin: int = 4, progress=None):
+              margin: int = 4):
     """Sample and measure the subjects; returns (samples, meta).
 
     The chains start hot on the smallest box that holds every subject with
@@ -560,7 +512,7 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
     drifts = []
     n_meas = schedule.sweeps // schedule.thin
     sweeps_done = 0
-    for m in range(n_meas):
+    for _ in range(n_meas):
         for _ in range(schedule.thin):
             if use_hb:
                 sweep_heatbath_u1(cfg, rng)
@@ -572,8 +524,6 @@ def run_chain(params: ActionParams, subjects, schedule: MCSchedule,
         t = time.perf_counter()
         rows.append(obs.measure(cfg))
         measure_s += time.perf_counter() - t
-        if progress is not None:
-            progress(m, n_meas)
     sample_s = time.perf_counter() - start - measure_s
     samples = np.stack(rows)  # (n_meas, n_subjects, n_chains)
     meta = {"box": box, "offset": offset,

@@ -248,8 +248,7 @@ def test_finite_differences_share_one_chain(monkeypatch):
     monkeypatch.setattr(equations, "sample_iid", counted)
     su2, eps, h = GroupSpec("SU", 2), 0.5, 2 * 0.5**2
     sched = MCSchedule(sweeps=8, burn_in=4, thin=2, chains=2, seed=5)
-    fd = finite_difference_alternating(su2, eps, sched, t2=1.0, t4=1.0,
-                                       step_plaquettes=2)
+    fd = finite_difference_alternating(su2, eps, sched, t2=1.0, t4=1.0)
     assert len(calls) == 1
     subjects, samples, meta = calls[0]
     shifted = [make_figure_eight(1.0 + d2, 1.0 + d4, eps).subject

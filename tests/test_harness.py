@@ -415,8 +415,7 @@ def test_fd_gap_z_pairs_the_two_streams(tmp_path):
             if r["term"] == "fd-alternating-sum"]
     su2, sched = GroupSpec("SU", 2), MCSchedule(48, 20, 2, 3, 11)
     out = unified_equation_reports(su2, 0.5, sched, t2=1.0, t4=1.0)
-    fd = finite_difference_alternating(su2, 0.5, sched, t2=1.0, t4=1.0,
-                                       step_plaquettes=2)
+    fd = finite_difference_alternating(su2, 0.5, sched, t2=1.0, t4=1.0)
     assert fd["series"].shape == out["rhs_series"].shape == (24, 3)
     paired = make_estimate(fd["series"] - out["rhs_series"])
     assert row["gap_sigma"] == paired.sigma

@@ -13,7 +13,7 @@ from loopfield.action import ActionParams, char_coefficient, partition_function,
 from loopfield.loops import (plaquette_loop, make_loop_from_moves, LoopString,
                              TRIVIAL_LOOP, as_string)
 from loopfield.sampler import (LatticeBox, MCSchedule, init_config,
-                               total_action, _staple_u1, _staples,
+                               total_action, _staples,
                                sweep_metropolis, sweep_heatbath_u1,
                                plaquette_product, WilsonObservable,
                                box_for_subjects, run_chain, make_estimate,
@@ -79,7 +79,9 @@ def test_staples_give_local_action_change(spec):
         checked = 0
         for orient, parity in itertools.product((0, 1), (0, 1)):
             if spec == U1:
-                k_sub = _staple_u1([np.exp(1j * u) for u in cfg.links], orient, parity)
+                # complex staples from the phases e^{i theta} of the links
+                k_sub = _staples([np.exp(1j * u) for u in cfg.links], orient, parity,
+                                 np.multiply, np.conj)
             elif spec == SU2:
                 # the first rows of the staples, from the first rows of the links
                 k_sub = _staples([u[..., 0, :] for u in cfg.links], orient, parity,
@@ -117,24 +119,17 @@ def _row_trace(u, k):
 
 # Oracle: the full-field sweeps that build the staples of every bond of an
 # orientation, then gather and scatter one parity class by a boolean mask.
-# With su2_rows=False the SU(2) branch multiplies 2x2 matrices: the
-# reference arithmetic that the Cayley-Klein row sweep must track.
+# U(1) runs the same staple products on the phases e^{i theta}.  With
+# su2_rows=False the SU(2) branch multiplies 2x2 matrices: the reference
+# arithmetic that the Cayley-Klein row sweep must track.
 
 def _oracle_staples(cfg, orient, su2_rows=True):
     u0, u1 = cfg.links
     w, h = cfg.box.width, cfg.box.height
-    if cfg.is_u1:
-        z0, z1 = np.exp(1j * u0), np.exp(1j * u1)
-        k = np.zeros(cfg.links[orient].shape, dtype=complex)
-        if orient == 0:
-            k[:, :, :h] += z1[:, 1:, :] * np.conj(z0[:, :, 1:]) * np.conj(z1[:, :w, :])
-            k[:, :, 1:] += np.conj(z0[:, :, :h] * z1[:, 1:, :] * np.conj(z1[:, :w, :]))
-        else:
-            k[:, 1:, :] += z0[:, :, :h] * np.conj(z0[:, :, 1:]) * np.conj(z1[:, :w, :])
-            k[:, :w, :] += np.conj(z0[:, :, :h] * z1[:, 1:, :] * np.conj(z0[:, :, 1:]))
-        return k
     mul, inv = np.matmul, inverse
-    if cfg.spec == SU2 and su2_rows:
+    if cfg.is_u1:
+        u0, u1, mul, inv = np.exp(1j * u0), np.exp(1j * u1), np.multiply, np.conj
+    elif cfg.spec == SU2 and su2_rows:
         u0, u1, mul, inv = u0[..., 0, :], u1[..., 0, :], su2_row_multiply, su2_row_inverse
     k = np.zeros((u0, u1)[orient].shape, dtype=u0.dtype)
     if orient == 0:
@@ -159,13 +154,7 @@ def _oracle_metropolis(cfg, rng, proposal_scale, su2_rows=True):
         for mask in _oracle_masks(arr, orient):
             km = _oracle_staples(cfg, orient, su2_rows)[:, mask]
             u = arr[:, mask]
-            if cfg.is_u1:
-                prop = u + rng.normal(0.0, proposal_scale, u.shape)
-                logw = scale * (np.real(np.exp(1j * prop) * km)
-                                - np.real(np.exp(1j * u) * km))
-                acc = np.log(rng.uniform(size=u.shape)) < logw
-                arr[:, mask] = np.where(acc, prop, u)
-            elif spec == SU2 and su2_rows:
+            if spec == SU2 and su2_rows:
                 row = u[..., 0, :]
                 coords = rng.normal(0.0, proposal_scale, row.shape[:-1] + (3,))
                 prop = su2_row_multiply(su2_exp_row(coords), row)
@@ -190,12 +179,7 @@ def _oracle_heatbath(cfg, rng):
         arr = cfg.links[orient]
         for mask in _oracle_masks(arr, orient):
             k = _oracle_staples(cfg, orient)[:, mask]
-            kappa = scale * np.abs(k)
-            out = rng.vonmises(-np.angle(k), np.maximum(kappa, 1e-12))
-            flat = kappa < 1e-12
-            if np.any(flat):
-                out = np.where(flat, rng.uniform(-np.pi, np.pi, k.shape), out)
-            arr[:, mask] = out
+            arr[:, mask] = rng.vonmises(-np.angle(k), scale * np.abs(k))
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,7 +187,8 @@ def _oracle_heatbath(cfg, rng):
        st.integers(0, 2**32 - 1))
 def test_sublattice_sweeps_match_full_field_oracle(spec, width, height, seed):
     # the strided sublattice sweeps give the links, acceptances and
-    # generator state of the full-field masked sweeps, bit for bit
+    # generator state of the full-field masked sweeps, bit for bit: the
+    # heat bath for U(1), Metropolis for the matrix groups
     params = ActionParams(spec, 0.7)
     runs = []
     for metropolis, heatbath in ((sweep_metropolis, sweep_heatbath_u1),
@@ -212,12 +197,34 @@ def test_sublattice_sweeps_match_full_field_oracle(spec, width, height, seed):
         cfg = init_config(LatticeBox(width, height), params, "hot", rng, chains=2)
         accs = []
         for _ in range(3):
-            accs.append(metropolis(cfg, rng, 0.5))
             if spec == U1:
                 heatbath(cfg, rng)
+            else:
+                accs.append(metropolis(cfg, rng, 0.5))
         runs.append(([a.tobytes() for a in cfg.links], accs,
                      rng.bit_generator.state))
     assert runs[0] == runs[1]
+
+
+def _assert_sweep_refused(sweep, spec):
+    # the sweep raises before it draws a number or writes a link
+    rng = np.random.default_rng(3)
+    cfg = init_config(LatticeBox(2, 3), ActionParams(spec, 0.7), "hot", rng, chains=2)
+    links, state = [a.copy() for a in cfg.links], rng.bit_generator.state
+    with pytest.raises(SamplerError):
+        sweep(cfg, rng)
+    assert all(np.array_equal(a, b) for a, b in zip(cfg.links, links))
+    assert rng.bit_generator.state == state
+
+
+def test_metropolis_refuses_u1():
+    # U(1) chains have one kernel, the heat bath
+    _assert_sweep_refused(lambda cfg, rng: sweep_metropolis(cfg, rng, 0.5), U1)
+
+
+@pytest.mark.parametrize("spec", [SU2, SO3], ids=str)
+def test_heatbath_refuses_matrix_groups(spec):
+    _assert_sweep_refused(sweep_heatbath_u1, spec)
 
 
 @settings(max_examples=30, deadline=None)
