@@ -23,18 +23,18 @@ geo = make_figure_eight(0.5, 0.5, eps)
 u1 = GroupSpec("U", 1)
 
 print("figure-eight with lobe areas (0.5, 0.5) at eps =", eps)
-for label, site in [("crossing bond", geo.annotation.e_first[0]),
-                    ("side bond e1", geo.annotation.e1[0]),
-                    ("side bond e3", geo.annotation.e3[0])]:
+for label, site in [("crossing bond", geo.sites["e"]),
+                    ("side bond e1", geo.sites["e1"]),
+                    ("side bond e3", geo.sites["e3"])]:
     terms, meta = assemble(EquationSpec(u1, eps, geo.subject, site))
     rep = evaluate_exact_u1(terms, meta, backend)
     print(f"  at {label:13s}: {len(terms)} terms, residual = {rep.residual:+.2e}")
     for t, v in zip(rep.terms, rep.values):
         print(f"      {t.tag:13s} coef {t.coefficient:+9.3f}  E W = {v.mean:.10f}")
     break  # full term table once; residuals for the rest
-for label, site in [("crossing bond", geo.annotation.e_first[0]),
-                    ("side bond e1", geo.annotation.e1[0]),
-                    ("side bond e3", geo.annotation.e3[0])]:
+for label, site in [("crossing bond", geo.sites["e"]),
+                    ("side bond e1", geo.sites["e1"]),
+                    ("side bond e3", geo.sites["e3"])]:
     rep = evaluate_exact_u1(*assemble(EquationSpec(u1, eps, geo.subject, site)),
                             backend)
     print(f"  residual at {label}: {rep.residual:+.2e}")
@@ -52,6 +52,6 @@ print(f"  worst |residual| = {worst:.2e}")
 
 print("\nnegative control: scale the negative-deformation coefficient by 1.1:")
 rep = evaluate_exact_u1(*assemble(EquationSpec(u1, eps, geo.subject,
-                                               geo.annotation.e_first[0],
+                                               geo.sites["e"],
                                                {"deform-minus": 1.1})), backend)
 print(f"  residual = {rep.residual:+.3f}   (loudly nonzero)")

@@ -34,8 +34,7 @@ print("\nSO(3) master loop equation at the crossing bond (shared stream):")
 so3 = GroupSpec("SO", 3)
 eps = 0.5
 geo = make_figure_eight(1.0, 1.0, eps)
-terms, meta = assemble(EquationSpec(so3, eps, geo.subject,
-                                    geo.annotation.e_first[0]))
+terms, meta = assemble(EquationSpec(so3, eps, geo.subject, geo.sites["e"]))
 print(f"  constant = {meta['const']:.4f} (1 - 1/3), "
       f"{sum('twist' in t.tag for t in terms)} twist term(s) with "
       f"coefficient +1/3 in the residual")

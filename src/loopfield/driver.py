@@ -446,6 +446,21 @@ class CrossingGeometry:
     def lattice_faces(self):
         return [(f.plaquettes * self.epsilon**2, f.winding) for f in self.graph.faces]
 
+    @property
+    def sites(self) -> dict:
+        """The canonical (component, location) of each span: the first bond
+        of the crossing edge's two traversals (e, e_) and of e1..e4."""
+        ann = self.annotation
+        return {"e": ann.e_first[0], "e_": ann.e_second[0], "e1": ann.e1[0],
+                "e2": ann.e2[0], "e3": ann.e3[0], "e4": ann.e4[0]}
+
+    def wedge_derivatives(self) -> dict:
+        """{m: analytic d_m E W} over the four wedges; 0.0 where the wedge
+        belongs to the unbounded face."""
+        faces = self.lattice_faces()
+        return {m: 0.0 if k is None else area_derivative(faces, k, "analytic")
+                for m, k in self.wedge_face_indices().items()}
+
     def realized(self) -> dict:
         """The shape built at this eps: [plaquettes, winding] of each bounded
         face and its area plaquettes * eps^2 (small areas are clamped to a
@@ -579,7 +594,12 @@ def make_figure_eight_reversed(t2: float, t4: float, epsilon: float) -> Crossing
     )
 
 
-def make_coil(t4: float, epsilon: float, margin: float = 0.5) -> CrossingGeometry:
+# continuum gap between the coil's wrap (the limacon's frame) and the lobes
+# it encloses; at least 1 bond for the coil and 2 for the limacon
+WRAP_MARGIN = 0.5
+
+
+def make_coil(t4: float, epsilon: float) -> CrossingGeometry:
     """A doubly wound configuration: pocket (|winding| 2) inside a wrap.
 
     The pocket is the east lobe; the wrap encloses it at a fixed physical
@@ -588,7 +608,7 @@ def make_coil(t4: float, epsilon: float, margin: float = 0.5) -> CrossingGeometr
     degenerate unbounded-face crossing with F1 = F3 bounded.
     """
     c4, h4, w4 = _lobe_dims(t4, epsilon)
-    g = max(1, int(round(margin / epsilon)))
+    g = max(1, int(round(WRAP_MARGIN / epsilon)))
     east_x = w4 + g  # wrap east column
     top_y = h4 - 1 + g
     bot_y = -1 - g
@@ -620,8 +640,7 @@ def make_coil(t4: float, epsilon: float, margin: float = 0.5) -> CrossingGeometr
     )
 
 
-def make_limacon(t4: float, t2: float, epsilon: float,
-                 margin: float = 0.5) -> CrossingGeometry:
+def make_limacon(t4: float, t2: float, epsilon: float) -> CrossingGeometry:
     """Three bounded faces at the crossing: bulb (east), lens (west), and a
     surrounding face owning both the north and south wedges.
 
@@ -634,7 +653,7 @@ def make_limacon(t4: float, t2: float, epsilon: float,
         h2, w2 = w2, h2
     if w2 < 2 or h2 < 2:
         raise DriverError("lens too small at this epsilon")
-    g = max(2, int(round(margin / epsilon)))
+    g = max(2, int(round(WRAP_MARGIN / epsilon)))
     gx = w2 + g          # frame west column at x = -gx
     east_x = w4 + g      # frame east column
     top_y = max(h4 - 1, h2) + g
@@ -718,26 +737,6 @@ def make_crossing_squares(side: float, overlap: float, epsilon: float) -> Crossi
         limit_faces=[(area - olap, 1), (olap, 2), (area - olap, 1)],
         extra={"side_eps": s * epsilon, "overlap_eps": k * epsilon},
     )
-
-
-FAMILIES = {
-    "figure-eight": make_figure_eight,
-    "figure-eight-reversed": make_figure_eight_reversed,
-    "coil": make_coil,
-    "limacon": make_limacon,
-    "crossing-squares": make_crossing_squares,
-}
-
-
-def make_lattice_approximation(family: str, epsilon: float, **params):
-    """Dispatch to a geometry family; see the individual factories."""
-    if family == "rectangle":
-        return make_rectangle(params.get("t", 1.0), epsilon)
-    try:
-        factory = FAMILIES[family]
-    except KeyError:
-        raise DriverError(f"unknown family {family!r}") from None
-    return factory(epsilon=epsilon, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,18 @@ from loopfield.action import (ActionParams, char_coefficient, standard_label,
 from loopfield.loops import (LoopString, as_string, bond_inverse,
                              string_deformation_sets, string_split, string_merge,
                              string_twist, expansion_sets, compatible_triples)
-from loopfield.driver import (U1Backend, area_derivative,
-                              correction_term_im, continuum_product,
-                              CrossingGeometry, make_figure_eight,
-                              make_crossing_squares, make_lattice_approximation)
+from loopfield.driver import (U1Backend, correction_term_im, continuum_product,
+                              CrossingGeometry, make_figure_eight, make_coil,
+                              make_limacon, make_crossing_squares)
 from loopfield.sampler import (IID_GROUPS, MCSchedule, run_chain, sample_iid,
                                make_estimate, Estimate)
 
 FD_STEP_PLAQUETTES = 2  # lobe-area step of finite_difference_alternating, in plaquettes
+
+# general (b, a) combinations of convergence_crossing: b weighs D_e, D_e_ and
+# a weighs E W, D_e1 .. D_e4 (see combination_value)
+DEFAULT_COMBOS = (((0.7, 0.3), (0.2, 0.2, 0.1, 0.3, 0.2)),
+                  ((1.5, -0.5), (0.4, 0.1, 0.2, 0.1, 0.2)))
 
 
 class EquationError(ValueError):
@@ -254,23 +258,14 @@ def deformation_value(subject, site, backend: U1Backend) -> float:
 
 def alternating_area_derivative(geometry: CrossingGeometry) -> float:
     """(d1 - d2 + d3 - d4) E W from the geometry's own continuum data."""
-    faces = geometry.lattice_faces()
-    wedges = geometry.wedge_face_indices()
-    total = 0.0
-    for m, sign in ((1, 1.0), (2, -1.0), (3, 1.0), (4, -1.0)):
-        if wedges[m] is not None:
-            total += sign * area_derivative(faces, wedges[m], "analytic")
-    return total
+    d = geometry.wedge_derivatives()
+    return d[1] - d[2] + d[3] - d[4]
 
 
 def crossing_deformation_data(geometry: CrossingGeometry, backend: U1Backend):
-    """D values at the canonical six sites plus exact equation residuals."""
-    ann = geometry.annotation
-    sites = {"e": ann.e_first[0], "e_": ann.e_second[0],
-             "e1": ann.e1[0], "e2": ann.e2[0], "e3": ann.e3[0], "e4": ann.e4[0]}
-    dvals = {k: deformation_value(geometry.subject, site, backend)
-             for k, site in sites.items()}
-    return sites, dvals
+    """{span: D value} at the geometry's six canonical sites."""
+    return {k: deformation_value(geometry.subject, site, backend)
+            for k, site in geometry.sites.items()}
 
 
 def combination_value(geometry: CrossingGeometry, backend: U1Backend,
@@ -284,7 +279,7 @@ def combination_value(geometry: CrossingGeometry, backend: U1Backend,
     if abs(sum(b) - 1.0) > 1e-12 or abs(sum(a) - 1.0) > 1e-12:
         raise EquationError("combination coefficients must each sum to 1")
     if dvals is None:
-        _, dvals = crossing_deformation_data(geometry, backend)
+        dvals = crossing_deformation_data(geometry, backend)
     ew = backend.expectation_of_graph(geometry.graph)
     return (b[0] * dvals["e"] + b[1] * dvals["e_"] - a[0] * ew
             - a[1] * dvals["e1"] - a[2] * dvals["e2"]
@@ -346,24 +341,27 @@ def convergence_simple(spec: GroupSpec, t: float, eps_list, tol: float = 1e-11):
     return {"group": str(spec), "t": t, "target": target, "rows": rows}
 
 
-def convergence_crossing(eps_list, t2: float = 0.5, t4: float = 0.5,
-                         extra_combos=((( .7, .3), (0.2, 0.2, 0.1, 0.3, 0.2)),),
+def convergence_crossing(eps_list,
+                         geometry_at=lambda eps: make_figure_eight(0.5, 0.5, eps),
+                         extra_combos=DEFAULT_COMBOS,
                          max_triples: int | None = None):
-    """The crossing-convergence sweep on the figure-eight: per-triple
-    combinations and the general (a, b) combinations, against the
-    alternating area derivative."""
+    """The crossing-convergence sweep on the geometry `geometry_at(eps)`
+    builds at each eps: per-triple combinations and the general (b, a)
+    combinations, against the alternating area derivative, and the
+    splitting (or, across two components, merger) term each triple equals
+    exactly."""
     rows = []
     for eps in eps_list:
-        geometry = make_figure_eight(t2, t4, eps)
+        geometry = geometry_at(eps)
         backend = U1Backend(eps)
         target = alternating_area_derivative(geometry)
         ew = backend.expectation_of_graph(geometry.graph)
-        sites, dvals = crossing_deformation_data(geometry, backend)
+        dvals = crossing_deformation_data(geometry, backend)
 
         triples = compatible_triples(geometry.annotation)
         if max_triples is not None:
             triples = triples[:max_triples]
-        dcache = {site: dvals[k] for k, site in sites.items()}
+        dcache = {site: dvals[k] for k, site in geometry.sites.items()}
 
         def dval(site):
             if site not in dcache:
@@ -388,15 +386,16 @@ def convergence_crossing(eps_list, t2: float = 0.5, t4: float = 0.5,
             "gap": max(abs(v - target) for v in triple_values),
             "gap_combos": max((abs(v - target) for v in combos), default=0.0),
             "triple_spread": max(triple_values) - min(triple_values),
+            "split_term": split_val,
             "exactness": max(abs(v - split_val) for v in triple_values),
             "geometry": geometry.realized(),
         })
-    return {"family": "figure-eight", "rows": rows}
+    return {"family": geometry.kind, "rows": rows}
 
 
 def _splitting_value(geometry: CrossingGeometry, backend: U1Backend) -> float:
     """E W of the positive splitting at the crossing (the two sub-loops)."""
-    comp, loc = geometry.annotation.e_first[0]
+    comp, loc = geometry.sites["e"]
     s = as_string(geometry.subject)
     e, (c2, y) = _second_occurrence(s, (comp, loc))
     if c2 == comp:
@@ -406,10 +405,14 @@ def _splitting_value(geometry: CrossingGeometry, backend: U1Backend) -> float:
 
 
 def _crossing_family(family: str, epsilon: float, t2: float, t4: float):
-    """A figure-eight, coil or limacon from driver.FAMILIES; the coil has
-    only the t4 lobe."""
-    params = {"t4": t4} if family == "coil" else {"t2": t2, "t4": t4}
-    return make_lattice_approximation(family, epsilon, **params)
+    """A figure-eight, coil or limacon; the coil has only the t4 lobe."""
+    if family == "figure-eight":
+        return make_figure_eight(t2, t4, epsilon)
+    if family == "coil":
+        return make_coil(t4, epsilon)
+    if family == "limacon":
+        return make_limacon(t4, t2, epsilon)
+    raise EquationError(f"unknown family {family!r}")
 
 
 def crossing_im_sweep(eps_list, family: str = "coil", t4: float = 0.5,
@@ -430,13 +433,13 @@ def crossing_im_sweep(eps_list, family: str = "coil", t4: float = 0.5,
         wedges = geometry.wedge_face_indices()
         ew = continuum_product(faces)
         ims = {m: correction_term_im(faces, m, wedges[m]) for m in (1, 2, 3, 4)}
-        d_m = {m: (area_derivative(faces, wedges[m], "analytic")
-                   if wedges[m] is not None else 0.0) for m in (1, 2, 3, 4)}
+        d_m = geometry.wedge_derivatives()
         alt = d_m[1] - d_m[2] + d_m[3] - d_m[4]
         limit_e = 2.0 * alt + ims[1] + ims[3]
         limit_e1 = 2.0 * (d_m[1] - d_m[4]) + 2.0 * ims[1]
         limit_e3 = 2.0 * (d_m[3] - d_m[2]) + 2.0 * ims[3]
-        sites, dvals = crossing_deformation_data(geometry, backend)
+        dvals = {k: deformation_value(geometry.subject, geometry.sites[k], backend)
+                 for k in ("e", "e1", "e3")}
         split_cont = ew  # E W_{l1} W_{l2} = E W_l for U(1)
         rows.append({
             "epsilon": eps,
@@ -452,37 +455,19 @@ def crossing_im_sweep(eps_list, family: str = "coil", t4: float = 0.5,
 
 
 def convergence_merger(eps_list, side: float = 1.5, overlap: float = 0.75):
-    """Merger-theorem sweep on two crossing squares (exact U(1), N = 1).
+    """Merger-theorem sweep: the crossing sweep on two crossing squares
+    (exact U(1), N = 1), with the first compatible triple
+    D_e - (D_e1 + D_e3)/2 and one general combination.
 
     The defaults keep the realized geometry fixed across the sweep; smaller
     squares would clamp against the crossing-edge margins at eps = 1/4.
     """
-    rows = []
-    for eps in eps_list:
-        geometry = make_crossing_squares(side, overlap, eps)
-        backend = U1Backend(eps)
-        target = alternating_area_derivative(geometry)
-        sites, dvals = crossing_deformation_data(geometry, backend)
-        comb = dvals["e"] - 0.5 * dvals["e1"] - 0.5 * dvals["e3"]
-        comb2 = combination_value(geometry, backend,
-                                  b=(0.4, 0.6), a=(0.1, 0.25, 0.2, 0.25, 0.2),
-                                  dvals=dvals)
-        merger_val = _splitting_value(geometry, backend)
-        rows.append({
-            "epsilon": eps,
-            "target": target,
-            "combination": comb,
-            "combination_general": comb2,
-            "gap": abs(comb - target),
-            "gap_general": abs(comb2 - target),
-            "merger_term": merger_val,
-            "exactness": abs(comb - merger_val),
-            "geometry": geometry.realized(),
-        })
-    return {"rows": rows}
+    return convergence_crossing(
+        eps_list, lambda eps: make_crossing_squares(side, overlap, eps),
+        extra_combos=(((0.4, 0.6), (0.1, 0.25, 0.2, 0.25, 0.2)),), max_triples=1)
 
 
-def degenerate_checks(epsilon: float = 0.25, tol_quad: float = 1e-11):
+def degenerate_checks(epsilon: float = 0.25):
     """The two degenerate-crossing identities in the exact abelian backend.
 
     three-face (limacon):    (2 d_s - d_2 - d_4) E W = E W_{l1} W_{l2}
@@ -499,12 +484,8 @@ def degenerate_checks(epsilon: float = 0.25, tol_quad: float = 1e-11):
         split_cont = ew  # U(1): W factorizes over the two sub-loops
         assert wedges[1] is not None and wedges[1] == wedges[3], \
             "north/south wedges must share the s-face"
-        d_s = area_derivative(faces, wedges[1], "analytic")
-        d2 = (area_derivative(faces, wedges[2], "analytic")
-              if wedges[2] is not None else 0.0)
-        d4 = (area_derivative(faces, wedges[4], "analytic")
-              if wedges[4] is not None else 0.0)
-        lhs = 2.0 * d_s - d2 - d4
+        d = geometry.wedge_derivatives()
+        lhs = 2.0 * d[1] - d[2] - d[4]
         alt = alternating_area_derivative(geometry)
         # p_s = p_{t1} * p_{t3}: splitting the s-face leaves the product fixed
         t_s, n_s = faces[wedges[1]]
@@ -517,6 +498,7 @@ def degenerate_checks(epsilon: float = 0.25, tol_quad: float = 1e-11):
             "reduces_to_alternating": abs(lhs - alt),
             "surgery_gap": surgery_gap,
             "E_W": ew,
+            "geometry": geometry.realized(),
         }
         if kind == "coil":
             unbounded = [m for m in (2, 4) if wedges[m] is None]
@@ -542,8 +524,7 @@ def unified_equation_reports(spec: GroupSpec, epsilon: float,
     estimates["rhs"] and whose (n_meas, n_chains) series is rhs_series.
     """
     geometry = make_figure_eight(t2, t4, epsilon)
-    ann = geometry.annotation
-    sites = {"at_e": ann.e_first[0], "at_e1": ann.e1[0], "at_e3": ann.e3[0]}
+    sites = {f"at_{k}": geometry.sites[k] for k in ("e", "e1", "e3")}
     assembled = {key: assemble(EquationSpec(spec, epsilon, geometry.subject, site))
                  for key, site in sites.items()}
 

@@ -28,8 +28,8 @@ from loopfield.loops import (random_loop, plaquette_loop, loop_to_text,
                              twist_negative)
 from loopfield.driver import (U1Backend, make_figure_eight,
                               make_rectangle)
-from loopfield.equations import (EquationSpec, assemble, evaluate_exact_u1,
-                                 evaluate_mc, convergence_simple,
+from loopfield.equations import (DEFAULT_COMBOS, EquationSpec, assemble,
+                                 evaluate_exact_u1, evaluate_mc, convergence_simple,
                                  convergence_crossing, convergence_merger,
                                  crossing_im_sweep, degenerate_checks,
                                  unified_equation_reports,
@@ -325,11 +325,8 @@ def run_verify_discrete(cfg):
     for eps in epsilons:
         geo = make_figure_eight(t2, t4, eps)
         backend = U1Backend(eps)
-        for label, site in [("e", geo.annotation.e_first[0]),
-                            ("e_", geo.annotation.e_second[0]),
-                            ("e1", geo.annotation.e1[0]),
-                            ("e3", geo.annotation.e3[0])]:
-            spec = EquationSpec(group, eps, geo.subject, site, overrides)
+        for label in ("e", "e_", "e1", "e3"):
+            spec = EquationSpec(group, eps, geo.subject, geo.sites[label], overrides)
             rep = evaluate_exact_u1(*assemble(spec), backend)
             worst_fig8 = max(worst_fig8, abs(rep.residual))
             rows.append({"experiment": "verify-discrete", "group": "U(1)",
@@ -377,19 +374,15 @@ def run_converge_simple(cfg):
     return rows, clauses, {}
 
 
-DEFAULT_COMBOS = (((0.7, 0.3), (0.2, 0.2, 0.1, 0.3, 0.2)),
-                  ((1.5, -0.5), (0.4, 0.1, 0.2, 0.1, 0.2)))
-
-
 def run_converge_crossing(cfg):
     epsilons = cfg["grid"]["epsilons"]
-    t4 = cfg["geometry"]["t4"]
+    t2, t4 = cfg["geometry"]["t2"], cfg["geometry"]["t4"]
     final_tol = cfg["tolerances"]["final_gap"]
     res_tol = cfg["tolerances"]["residual"]
     given = cfg["combos"]
     combos = tuple((given[b], given[a]) for b, a in (("b", "a"), ("b2", "a2"))
                    if given[b] is not None) or DEFAULT_COMBOS
-    rep = convergence_crossing(epsilons, cfg["geometry"]["t2"], t4,
+    rep = convergence_crossing(epsilons, lambda eps: make_figure_eight(t2, t4, eps),
                                extra_combos=combos,
                                max_triples=cfg["triples"]["max_triples"])
     rows, clauses = [], []
@@ -444,7 +437,7 @@ def run_converge_merger(cfg):
     rows, clauses = [], []
     for r in rep["rows"]:
         rows.append({"experiment": "converge-merger", "group": "U(1)",
-                     "epsilon": r["epsilon"], "value": r["combination"],
+                     "epsilon": r["epsilon"], "value": r["triples"][0],
                      "target": r["target"], "gap": r["gap"],
                      "term": "merger-combination"})
     gaps = [r["gap"] for r in rep["rows"]]
@@ -454,7 +447,7 @@ def run_converge_merger(cfg):
     worst = max(r["exactness"] for r in rep["rows"])
     clauses.append(Clause(f"combination equals merger term < {res_tol:g}",
                           worst < res_tol, f"{worst:.2e}"))
-    gap_gen = rep["rows"][-1]["gap_general"]
+    gap_gen = rep["rows"][-1]["gap_combos"]
     clauses.append(Clause("general combination shares the limit",
                           gap_gen < final_tol, f"{gap_gen:.2e}"))
     return rows, clauses, {"geometry": [r["geometry"] for r in rep["rows"]]}
@@ -514,7 +507,8 @@ def run_degenerate(cfg):
             clauses.append(Clause("coil: unbounded-wedge derivative is zero",
                                   entry["unbounded_derivative"] == 0.0,
                                   f"wedges {entry['unbounded_wedges']}"))
-    return rows, clauses, {}
+    return rows, clauses, {"geometry": [{"kind": kind, **entry["geometry"]}
+                                        for kind, entry in out.items()]}
 
 
 def run_converge_unified(cfg):
@@ -634,7 +628,7 @@ def run_sample_diagnostics(cfg):
     # SO(3) figure-eight equation at the crossing bond
     so3 = GroupSpec("SO", 3)
     geo = make_figure_eight(1.0, 1.0, eps)
-    espec = EquationSpec(so3, eps, geo.subject, geo.annotation.e_first[0])
+    espec = EquationSpec(so3, eps, geo.subject, geo.sites["e"])
     terms, meta = assemble(espec)
     rep = evaluate_mc(terms, meta, ActionParams(so3, eps), schedule)
     diagnostics.append(_chain_diagnostics(so3, eps, rep.metadata,
@@ -942,7 +936,7 @@ def _loop_op_fixture_lines():
     # positive splitting of the canonical figure-eight at the crossing bond
     geo = make_figure_eight(0.5, 0.5, 0.5)
     loop = geo.subject
-    comp, loc = geo.annotation.e_first[0]
+    comp, loc = geo.sites["e"]
     e = loop.word[loc]
     y = [i for i, b in enumerate(loop.word) if b == e and i != loc][0]
     pair = split_positive(loop, e, loc, y)

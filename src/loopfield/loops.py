@@ -478,16 +478,10 @@ def compatible_triples(ann: CrossingAnnotation):
 def random_loop(rng, half_steps_x=3, half_steps_y=3, max_tries=200) -> Loop:
     """A random closed lattice loop: shuffled balanced moves, then reduction."""
     for _ in range(max_tries):
-        moves = ([0] * half_steps_x + [2] * half_steps_x
-                 + [1] * half_steps_y + [3] * half_steps_y)
+        moves = list("R" * half_steps_x + "L" * half_steps_x
+                     + "U" * half_steps_y + "D" * half_steps_y)
         rng.shuffle(moves)
-        x = y = 0
-        word = []
-        for d in moves:
-            word.append((x, y, d))
-            dx, dy = DIRS[d]
-            x, y = x + dx, y + dy
-        reduced = _erase_backtracking(word)
-        if reduced:
+        word, _ = walk_moves((0, 0), "".join(moves))
+        if _erase_backtracking(word):
             return make_loop(word)
     raise LoopError("could not generate a nontrivial random loop")

@@ -6,7 +6,8 @@ import pytest
 from loopfield.groups import GroupSpec
 from loopfield.action import ActionParams
 from loopfield.loops import random_loop
-from loopfield.driver import (U1Backend, make_figure_eight, make_rectangle,
+from loopfield.driver import (U1Backend, area_derivative, make_figure_eight,
+                              make_figure_eight_reversed, make_rectangle,
                               make_coil, make_limacon, make_crossing_squares)
 from loopfield.equations import (EquationSpec, assemble, evaluate_exact_u1,
                                  evaluate_mc, deformation_value,
@@ -190,8 +191,41 @@ def test_convergence_merger_sweep():
     # which for U(1) coincides with E W_s
     be = U1Backend(0.125)
     geo = make_crossing_squares(1.5, 0.75, 0.125)
-    assert rows[-1]["merger_term"] == pytest.approx(be.expectation(geo.subject),
-                                                    abs=1e-12)
+    assert rows[-1]["split_term"] == pytest.approx(be.expectation(geo.subject),
+                                                   abs=1e-12)
+    assert rep["family"] == "crossing-squares"
+
+
+def test_merger_is_the_first_compatible_triple():
+    # the merger combination is the crossing sweep's first triple at the
+    # canonical sites, bit for bit
+    eps = 0.25
+    row = convergence_merger([eps])["rows"][0]
+    geo = make_crossing_squares(1.5, 0.75, eps)
+    backend = U1Backend(eps)
+    d = {k: deformation_value(geo.subject, geo.sites[k], backend)
+         for k in ("e", "e1", "e3")}
+    assert row["triples"] == [d["e"] - 0.5 * d["e1"] - 0.5 * d["e3"]]
+
+
+@pytest.mark.parametrize("geo", [
+    make_figure_eight(0.5, 0.5, 0.25),
+    make_figure_eight_reversed(0.5, 0.5, 0.25),
+    make_coil(0.5, 0.25),
+    make_limacon(0.5, 0.5, 0.25),
+    make_crossing_squares(1.5, 0.75, 0.25),
+], ids=lambda geo: geo.kind)
+def test_wedge_derivatives_match_finite_differences(geo):
+    # absolute bound: the limacon's wedge 4 has winding 0, so d_4 = 0
+    faces = geo.lattice_faces()
+    wedges = geo.wedge_face_indices()
+    derivs = geo.wedge_derivatives()
+    assert set(derivs) == {1, 2, 3, 4}
+    for m, k in wedges.items():
+        if k is None:
+            assert derivs[m] == 0.0
+        else:
+            assert abs(derivs[m] - area_derivative(faces, k, "fd")) < 1e-8
 
 
 def test_degenerate_checks_all_pass():
@@ -281,7 +315,7 @@ def test_orientation_variant_sign_flip_same_limit():
         assert "split-neg" in tags and "split-pos" not in tags
         rep = evaluate_exact_u1(terms, meta, backend)
         assert abs(rep.residual) < 1e-12
-        _, dvals = crossing_deformation_data(geo, backend)
+        dvals = crossing_deformation_data(geo, backend)
         comb = dvals["e"] - 0.5 * dvals["e1"] - 0.5 * dvals["e3"]
         target = alternating_area_derivative(geo)
         gaps.append(abs(comb - target))
