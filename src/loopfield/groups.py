@@ -10,13 +10,14 @@ same bits as a call on that element alone.  The Lie-algebra inner product is
 (beta_g = 2) reduces to N * Tr(X Y^*).  All frames built here are
 orthonormal with respect to that inner product.
 
-SU(2) elements also have a row form.  In Cayley-Klein form
-U = [[a, b], [-b*, a*]], so the first row (a, b) fixes U, and products,
-inverses and exponentials of rows are a few elementwise complex operations
-on stacks of shape (..., 2).  A 2x2 `@` on a stack costs one BLAS call per
-element, so the Metropolis sweep works on rows (`su2_row_multiply`,
-`su2_row_inverse`, `su2_exp_row`) and writes matrices back with
-`su2_row_matrix`.
+SU(2) elements also have a pair form.  In Cayley-Klein form
+U = [[a, b], [-b*, a*]], so the planes a = U[..., 0, 0] and b = U[..., 0, 1]
+fix a stack (`su2_pair`), and products, inverses, traces and exponentials
+of pairs are a few elementwise complex operations on arrays of the stack's
+shape.  A 2x2 `@` on a stack costs one BLAS call per element, so the
+Metropolis sweep and the SU(2) Wilson loops work on pairs
+(`su2_pair_multiply`, `su2_pair_inverse`, `su2_pair_trace`,
+`su2_exp_pair`) and write matrices back with `su2_pair_matrix`.
 """
 
 from __future__ import annotations
@@ -231,46 +232,63 @@ def exp_coords(spec: GroupSpec, coords: np.ndarray) -> np.ndarray:
     return exp_map(spec, lie_vector_matrix(spec, coords))
 
 
-def _su2_second_row(p: np.ndarray) -> np.ndarray:
-    """Second rows (-b*, a*) of the SU(2) matrices of rows (a, b)."""
-    out = np.conj(p[..., ::-1])
-    out[..., 0] = -out[..., 0]
+def su2_pair(u: np.ndarray):
+    """The Cayley-Klein pair (a, b) of a stack of SU(2) matrices: views of
+    the planes U[..., 0, 0] and U[..., 0, 1]."""
+    return u[..., 0, 0], u[..., 0, 1]
+
+
+def su2_pair_multiply(p, q):
+    """Pairs of the products of two SU(2) stacks given by their pairs:
+    (a, b)(c, d) = (a c - b d*, a d + b c*)."""
+    a, b = p
+    c, d = q
+    return a * c - b * np.conj(d), a * d + b * np.conj(c)
+
+
+def su2_pair_inverse(p):
+    """Pairs of the inverses of an SU(2) stack given by its pairs: (a*, -b)."""
+    a, b = p
+    return np.conj(a), -b
+
+
+def su2_pair_trace(p, k):
+    """Re Tr(U K) = 2 Re(a alpha - b beta*) for U = (a, b), K = (alpha, beta).
+
+    K may be any sum of SU(2) matrices, such as a staple, since such sums
+    keep the Cayley-Klein form."""
+    a, b = p
+    alpha, beta = k
+    return 2.0 * np.real(a * alpha - b * np.conj(beta))
+
+
+def su2_pair_matrix(p) -> np.ndarray:
+    """The SU(2) matrices [[a, b], [-b*, a*]] of a stack of pairs (a, b)."""
+    a, b = p
+    out = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    out[..., 0, 0] = a
+    out[..., 0, 1] = b
+    out[..., 1, 0] = -np.conj(b)
+    out[..., 1, 1] = np.conj(a)
     return out
 
 
-def su2_row_multiply(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """First rows of the products of two SU(2) stacks given by their rows:
-    (a, b)(c, d) = a (c, d) + b (-d*, c*) = (a c - b d*, a d + b c*)."""
-    return p[..., :1] * q + p[..., 1:] * _su2_second_row(q)
+def su2_exp_pair(coords: np.ndarray):
+    """The pairs of exp_coords(SU(2), coords); coords shape (..., 3).
 
-
-def su2_row_inverse(p: np.ndarray) -> np.ndarray:
-    """First rows of the inverses of an SU(2) stack given by its rows: (a*, -b)."""
-    out = np.conj(p)
-    out[..., 1] = -p[..., 1]
-    return out
-
-
-def su2_row_matrix(p: np.ndarray) -> np.ndarray:
-    """The SU(2) matrices [[a, b], [-b*, a*]] of a stack of rows (a, b)."""
-    out = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, :] = p
-    out[..., 1, :] = _su2_second_row(p)
-    return out
-
-
-def su2_exp_row(coords: np.ndarray) -> np.ndarray:
-    """First rows of exp_coords(SU(2), coords); coords shape (..., 3).
-
-    The first row of A = sum_j coords_j L_j carries half of |A|^2, so theta
-    is exp_map's, with the same clamp at A = 0.
+    The first row of A = sum_j c_j L_j is (i h3, h2 + i h1) with h = c / 2:
+    each entry of the first rows of `lie_basis` has one nonzero part, so
+    this is the basis expansion bit for bit (up to the sign of a zero where
+    a coordinate is zero).  That row carries half of |A|^2, summed here as
+    h3^2 + (h2^2 + h1^2), the order of an einsum over the row, so theta is
+    exp_map's, with the same clamp at A = 0, and the pair is
+    (cos theta + i s h3, s h2 + i s h1) with s = sin(theta) / theta.
     """
-    a = np.dot(np.asarray(coords, dtype=float), lie_basis(GroupSpec("SU", 2))[:, 0, :])
-    sq = np.einsum("...i,...i->...", a, np.conj(a)).real
-    th = np.sqrt(np.maximum(sq, 1e-300))[..., None]
-    out = np.sin(th) / th * a
-    out[..., 0] += np.cos(th[..., 0])
-    return out
+    h = 0.5 * np.asarray(coords, dtype=float)
+    sq = h * h
+    th = np.sqrt(np.maximum(sq[..., 2] + (sq[..., 1] + sq[..., 0]), 1e-300))
+    sh = (np.sin(th) / th)[..., None] * h
+    return np.cos(th) + 1j * sh[..., 2], sh[..., 1] + 1j * sh[..., 0]
 
 
 def haar_sample(spec: GroupSpec, rng: np.random.Generator, size=()) -> np.ndarray:

@@ -16,20 +16,25 @@ view of its link array, and its staples multiply strided views of the
 neighbouring links, so no staple is built for a bond the update leaves
 alone.  The view keeps row-major bond order, so the random streams are
 unchanged from a full-field update that selects one parity by a mask.
-U(1) sweeps take e^{i theta} of every link once per sweep and refresh it
-only on the sublattice each update writes.
 Chains are carried as a leading batch axis; one master seed drives them all.
 The group operations (Haar draws for the hot start, the exponential map,
 the adjoint and the polar projection in `reunitarize`) are the batched ones
 in `loopfield.groups`, applied to whole link arrays at once.
 
-One routine, `_staples`, holds the plaquette geometry of the staples for
-any product and inverse.  U(1) passes the phases e^{i theta} with
-`np.multiply` and `np.conj`; SO(3) passes its link matrices with `@`.  SU(2)
-links are stored as 2x2 matrices, but the SU(2) sweep passes their first
-rows (a, b) with the Cayley-Klein row operations of `loopfield.groups`,
-since a 2x2 `@` on a stack costs one BLAS call per link and the rows cost a
-few elementwise complex operations per stack; it weighs proposals by
+The views are built once per configuration, not once per sweep: a
+`_SweepPlan`, cached on the configuration at its first sweep and rebuilt
+when `cfg.links` no longer holds the arrays it views, holds for each of the
+four steps the view of the links it writes, its staple accumulator and the
+side views of the two staple terms, so the plaquette geometry exists once
+and small boxes do not pay for slicing on every sweep.  The views are over
+the arrays each kernel multiplies: U(1) takes the phases e^{i theta} into a
+buffer the plan owns, once per sweep, and refreshes them only on the
+sublattice each update writes; SO(3) multiplies its link matrices with `@`.
+SU(2) links are stored as 2x2 matrices, but the plan views their
+Cayley-Klein planes a = U[..., 0, 0] and b = U[..., 0, 1], and the SU(2)
+sweep uses the pair operations of `loopfield.groups`, since a 2x2 `@` on a
+stack costs one BLAS call per link and a pair costs a few elementwise
+complex operations per stack; it weighs proposals by
 Re Tr(U K) = 2 Re(a alpha - b beta*) and writes accepted links back as
 matrices.  The draws and the accept/reject decisions are those of the
 matrix arithmetic; only the rounding of the SU(2) links differs.
@@ -42,7 +47,7 @@ only the links the subjects use (inverting those a loop runs backwards)
 and folds hol = hol U_j over the bond positions of all loops at once, in
 the bond order of each loop.  U(1) sums the signed angles in that order and
 U(2) and SU(3) multiply matrices, with the bits of one loop at a time; SU(2)
-multiplies Cayley-Klein first rows and takes Tr = 2 Re a, so its values
+multiplies Cayley-Klein pairs and takes Tr = 2 Re a, so its values
 may differ from a loop-at-a-time matrix product by rounding, as SO(3)'s
 stacked real products may.
 
@@ -67,9 +72,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from loopfield.groups import (GroupSpec, adjoint_deviation, exp_coords,
-                              haar_sample, inverse, project_to_group,
-                              su2_exp_row, su2_row_inverse, su2_row_matrix,
-                              su2_row_multiply)
+                              haar_sample, inverse, project_to_group, su2_exp_pair,
+                              su2_pair, su2_pair_inverse, su2_pair_matrix,
+                              su2_pair_multiply, su2_pair_trace)
 from loopfield.action import (ActionParams, QuadratureError, action_exponent_scale,
                               unnormalized_weight, weyl_weight)
 from loopfield.loops import as_string, bond_edge, bond_start, bond_end
@@ -132,13 +137,16 @@ class LatticeConfiguration:
 
     links[0]: horizontal bonds, shape (chains, W, H+1[, N, N])
     links[1]: vertical bonds,   shape (chains, W+1, H[, N, N])
-    U(1) stores bare angles; matrix groups store the matrices.
+    U(1) stores bare angles; matrix groups store the matrices.  The sweeps
+    cache their plan of views on the configuration (`_sweep_plan`); a copy
+    starts without one.
     """
 
     def __init__(self, box: LatticeBox, params: ActionParams, links):
         self.box = box
         self.params = params
         self.links = links
+        self._plan = None  # the sweep plan, built at the first sweep
 
     @property
     def spec(self) -> GroupSpec:
@@ -227,57 +235,123 @@ def _sublattice(orient, parity):
     return (slice(None), slice(None), step) if orient == 0 else (slice(None), step)
 
 
-def _plaquette_sides(links, orient, start):
-    """Bottom, right, top and left links (a, b, c, d; Qp = a b c^-1 d^-1) of
-    the plaquettes in rows (orient 0) or columns (orient 1) start, start+2, ...
+def _take(field, index):
+    """field[index] of an array, or of each plane of an SU(2) pair."""
+    return tuple(c[index] for c in field) if isinstance(field, tuple) else field[index]
 
-    Sublattice `parity` bonds border the plaquettes of start `parity` (the
-    leading bonds of the sublattice, one each) and of start 1 - parity (every
-    bond from sublattice index 1 - parity on, one each).
+
+@dataclass
+class _SweepStep:
+    """One (orientation, parity) step of a sweep: the strided view of the
+    links it writes, the same bonds over the kernel's arrays, the staple
+    accumulator `k`, and its two terms (the sides a, b, c, d of the
+    plaquettes each term runs over, and the slice of `k` it adds into)."""
+
+    orient: int
+    links: np.ndarray
+    bonds: object
+    k: object
+    terms: tuple
+
+
+class _SweepPlan:
+    """The sweep geometry of one configuration, built once and reused.
+
+    Its views are over the arrays the kernel multiplies: for U(1) the phase
+    buffers e^{i theta} that the plan owns (`phases`, empty for the other
+    groups), for SU(2) the pairs (a, b) of the stored matrices
+    (`su2_pair`), for SO(3) the matrices themselves; `mul` and `inv` are
+    that kernel's product and inverse.  `links` holds the link arrays the
+    views are over, so a configuration whose links were rebound gets a new
+    plan (`_sweep_plan`).
     """
-    u0, u1 = links
-    w, h = u0.shape[1], u1.shape[2]
-    sub = _sublattice(orient, start)
-    return u0[:, :, :h][sub], u1[:, 1:, :][sub], u0[:, :, 1:][sub], u1[:, :w, :][sub]
+
+    def __init__(self, cfg: LatticeConfiguration):
+        self.links = tuple(cfg.links)
+        self.phases = []
+        if cfg.is_u1:
+            self.phases = [np.empty(u.shape, dtype=complex) for u in cfg.links]
+            fields, self.mul, self.inv = self.phases, np.multiply, np.conj
+        elif cfg.spec == SU2:
+            fields = [su2_pair(u) for u in cfg.links]
+            self.mul, self.inv = su2_pair_multiply, su2_pair_inverse
+        else:
+            fields, self.mul, self.inv = list(cfg.links), np.matmul, inverse
+        self.steps = [self._step(fields, orient, parity)
+                      for orient in (0, 1) for parity in (0, 1)]
+
+    def _step(self, fields, orient, parity):
+        """Sublattice `parity` bonds border the plaquettes of start `parity`
+        (the leading bonds of the sublattice, one each) and of start
+        1 - parity (every bond from sublattice index 1 - parity on, one
+        each); plaquettes of start s lie in rows (orient 0) or columns
+        (orient 1) s, s+2, ..."""
+        u0, u1 = fields
+        w, h = self.links[0].shape[1], self.links[1].shape[2]
+        sub = _sublattice(orient, parity)
+        bonds = _take(fields[orient], sub)
+        k = (tuple(np.zeros(c.shape, dtype=complex) for c in bonds)
+             if isinstance(bonds, tuple) else np.zeros(bonds.shape, dtype=bonds.dtype))
+
+        def sides(start):  # bottom, right, top, left: Qp = a b c^-1 d^-1
+            s = _sublattice(orient, start)
+            return (_take(_take(u0, np.s_[:, :, :h]), s), _take(_take(u1, np.s_[:, 1:]), s),
+                    _take(_take(u0, np.s_[:, :, 1:]), s), _take(_take(u1, np.s_[:, :w]), s))
+
+        # the own-start term covers the first len(range(parity, h or w, 2)) bonds
+        if orient == 0:
+            terms = ((sides(parity), _take(k, np.s_[:, :, :len(range(parity, h, 2))])),
+                     (sides(1 - parity), _take(k, np.s_[:, :, 1 - parity:])))
+        else:
+            terms = ((sides(1 - parity), _take(k, np.s_[:, 1 - parity:])),
+                     (sides(parity), _take(k, np.s_[:, :len(range(parity, w, 2))])))
+        return _SweepStep(orient, self.links[orient][sub], bonds, k, terms)
+
+    def staples(self, step: _SweepStep):
+        """Staples K of one step's bonds: Re Tr(U K) sums the plaquette
+        traces a bond's update changes.  U(1) gets complex staples,
+        Re(e^{i theta} K) for a link; SU(2) gets the pairs of its staples,
+        since a sum of SU(2) matrices keeps the Cayley-Klein form."""
+        mul, inv = self.mul, self.inv
+        for plane in (step.k if isinstance(step.k, tuple) else (step.k,)):
+            plane.fill(0.0)
+        (a, b, c, d), dest = step.terms[0]
+        if step.orient == 0:
+            # Qp(x, y) = U0[x,y] U1[x+1,y] U0[x,y+1]^* U1[x,y]^*  (bond first)
+            _add_into(dest, mul(mul(b, inv(c)), inv(d)))
+        else:
+            # Qp(x, y) = U0[x,y] U1[x+1,y] U0[x,y+1]^* U1[x,y]^*: vertical bond
+            # (x+1, y) enters as U1[x+1,y]: Tr = Tr(U1[x+1,y] B),
+            # B = U0[x,y+1]^* U1[x,y]^* U0[x,y]
+            _add_into(dest, mul(mul(inv(c), inv(d)), a))
+        (a, b, c, d), dest = step.terms[1]
+        if step.orient == 0:
+            # Qp(x, y-1) = U0[x,y-1] U1[x+1,y-1] U0[x,y]^* U1[x,y-1]^*; cyclic so
+            # Tr = Tr(U0[x,y]^* A) with A = U1[x,y-1]^* U0[x,y-1] U1[x+1,y-1];
+            # Re Tr(U0^* A) = Re Tr(U0 A^*), so the staple adds A^*.
+            _add_into(dest, inv(mul(mul(inv(d), a), b)))
+        else:
+            # and as U1[x,y]^*: Tr = Tr(U1[x,y]^* C), C = U0[x,y] U1[x+1,y] U0[x,y+1]^*
+            _add_into(dest, inv(mul(mul(a, b), inv(c))))
+        return step.k
 
 
-def _staples(links, orient, parity, mul, inv):
-    """Staples K of one sublattice, for links multiplied by `mul` and
-    inverted by `inv`: Re Tr(U K) sums the affected plaquette traces.
-
-    U(1) passes the phases e^{i theta} of its links with `np.multiply` and
-    `np.conj`, and gets complex staples, Re(e^{i theta} K) for a link.  The
-    matrix groups pass their link matrices with `np.matmul` and
-    `inverse`; SU(2) passes the first rows of its links with the row
-    operations, and gets the first rows of its staples, since a sum of
-    SU(2) matrices keeps the Cayley-Klein form.
-    """
-    k = np.zeros(links[orient][_sublattice(orient, parity)].shape, dtype=links[0].dtype)
-    if orient == 0:
-        # Qp(x, y) = U0[x,y] U1[x+1,y] U0[x,y+1]^* U1[x,y]^*  (bond first)
-        _, b, c, d = _plaquette_sides(links, 0, parity)
-        t = mul(mul(b, inv(c)), inv(d))
-        k[:, :, :t.shape[2]] += t
-        # Qp(x, y-1) = U0[x,y-1] U1[x+1,y-1] U0[x,y]^* U1[x,y-1]^*; cyclic so
-        # Tr = Tr(U0[x,y]^* A) with A = U1[x,y-1]^* U0[x,y-1] U1[x+1,y-1];
-        # Re Tr(U0^* A) = Re Tr(U0 A^*), so the staple adds A^*.
-        a, b, _, d = _plaquette_sides(links, 0, 1 - parity)
-        k[:, :, 1 - parity:] += inv(mul(mul(inv(d), a), b))
-        return k
-    # Qp(x, y) = U0[x,y] U1[x+1,y] U0[x,y+1]^* U1[x,y]^*: vertical bond (x+1, y)
-    # enters as U1[x+1,y]: Tr = Tr(U1[x+1,y] B), B = U0[x,y+1]^* U1[x,y]^* U0[x,y]
-    a, _, c, d = _plaquette_sides(links, 1, 1 - parity)
-    k[:, 1 - parity:] += mul(mul(inv(c), inv(d)), a)
-    # and as U1[x,y]^*: Tr = Tr(U1[x,y]^* C), C = U0[x,y] U1[x+1,y] U0[x,y+1]^*
-    a, b, c, _ = _plaquette_sides(links, 1, parity)
-    t = inv(mul(mul(a, b), inv(c)))
-    k[:, :t.shape[1]] += t
-    return k
+def _add_into(dest, term):
+    """dest += term, for arrays or for the planes of SU(2) pairs."""
+    for d, t in (zip(dest, term) if isinstance(dest, tuple) else ((dest, term),)):
+        d += t
 
 
-def _su2_row_trace(u, k):
-    """Re Tr(U K) = 2 Re(a alpha - b beta*) for rows u = (a, b), k = (alpha, beta)."""
-    return 2.0 * np.real(u[..., 0] * k[..., 0] - u[..., 1] * np.conj(k[..., 1]))
+def _sweep_plan(cfg: LatticeConfiguration) -> _SweepPlan:
+    """The sweep plan of cfg, built at its first sweep and rebuilt when
+    `cfg.links` no longer holds the arrays it views; U(1) phases are
+    refreshed from the links on every call."""
+    plan = cfg._plan
+    if plan is None or plan.links[0] is not cfg.links[0] or plan.links[1] is not cfg.links[1]:
+        plan = cfg._plan = _SweepPlan(cfg)
+    for z, u in zip(plan.phases, cfg.links):
+        np.exp(1j * u, out=z)
+    return plan
 
 
 def sweep_metropolis(cfg: LatticeConfiguration, rng: np.random.Generator,
@@ -288,40 +362,39 @@ def sweep_metropolis(cfg: LatticeConfiguration, rng: np.random.Generator,
     Returns the acceptance rate.  Horizontal bonds of equal y-parity (and
     vertical of equal x-parity) share no plaquette, so each sublattice
     updates in parallel while keeping detailed balance.  Each sublattice is
-    read, given its staples and written back through one strided view, so
-    no staple is built for a bond the update leaves alone; the bonds come in
-    row-major order, which fixes the order of the random draws: the
-    proposal coordinates of a sublattice, then its accept/reject uniforms.
+    read, given its staples and written back through the strided views of
+    the configuration's sweep plan, so no staple is built for a bond the
+    update leaves alone; the bonds come in row-major order, which fixes the
+    order of the random draws: the proposal coordinates of a sublattice,
+    then its accept/reject uniforms.  SU(2) works on pairs (a, b) and writes
+    accepted links as [[a, b], [-b*, a*]]; rejected links keep their stored
+    matrix.
     """
     spec = cfg.spec
     if cfg.is_u1:
         raise SamplerError("U(1) chains use the heat bath, sweep_heatbath_u1")
     scale = action_exponent_scale(cfg.params)
+    plan = _sweep_plan(cfg)
+    su2 = spec == SU2
     accepted = 0
     total = 0
-    for orient in (0, 1):
-        arr = cfg.links[orient]
-        for parity in (0, 1):
-            sub = _sublattice(orient, parity)
-            u = arr[sub]
-            coords = rng.normal(0.0, proposal_scale, u.shape[:-2] + (spec.dim_lie,))
-            if spec == SU2:
-                k = _staples([a[..., 0, :] for a in cfg.links], orient, parity,
-                             su2_row_multiply, su2_row_inverse)
-                row = u[..., 0, :]
-                prop_row = su2_row_multiply(su2_exp_row(coords), row)
-                logw = scale * (_su2_row_trace(prop_row, k) - _su2_row_trace(row, k))
-                prop = su2_row_matrix(prop_row)
-            else:
-                k = _staples(cfg.links, orient, parity, np.matmul, inverse)
-                prop = exp_coords(spec, coords) @ u
-                tr_old = np.einsum("...ij,...ji->...", u, k).real
-                tr_new = np.einsum("...ij,...ji->...", prop, k).real
-                logw = scale * (tr_new - tr_old)
-            acc = np.log(rng.uniform(size=logw.shape)) < logw
-            arr[sub] = np.where(acc[..., None, None], prop, u)
-            accepted += int(acc.sum())
-            total += acc.size
+    for step in plan.steps:
+        u = step.bonds
+        coords = rng.normal(0.0, proposal_scale, step.links.shape[:-2] + (spec.dim_lie,))
+        k = plan.staples(step)
+        if su2:
+            prop = su2_pair_multiply(su2_exp_pair(coords), u)
+            logw = scale * (su2_pair_trace(prop, k) - su2_pair_trace(u, k))
+            prop = su2_pair_matrix(prop)
+        else:
+            prop = exp_coords(spec, coords) @ u
+            tr_old = np.einsum("...ij,...ji->...", u, k).real
+            tr_new = np.einsum("...ij,...ji->...", prop, k).real
+            logw = scale * (tr_new - tr_old)
+        acc = np.log(rng.uniform(size=logw.shape)) < logw
+        np.copyto(step.links, prop, where=acc[..., None, None])
+        accepted += int(acc.sum())
+        total += acc.size
     return accepted / max(total, 1)
 
 
@@ -346,21 +419,19 @@ def reunitarize(cfg: LatticeConfiguration) -> float:
 def sweep_heatbath_u1(cfg: LatticeConfiguration, rng: np.random.Generator):
     """Exact conditional resampling for U(1): von Mises per bond.
 
-    The staples come from `_staples` on the phases e^{i theta}, multiplied
+    The staples come from the sweep plan's phases e^{i theta}, multiplied
     by `np.multiply` and inverted by `np.conj`; a bond's local weight is
     exp(scale Re(e^{i theta} K)), so theta ~ von Mises(-arg K, scale |K|).
     """
     if not cfg.is_u1:
         raise SamplerError("heat bath implemented for U(1) only")
     scale = action_exponent_scale(cfg.params)
-    z = [np.exp(1j * u) for u in cfg.links]  # refreshed per sublattice
-    for orient in (0, 1):
-        for parity in (0, 1):
-            sub = _sublattice(orient, parity)
-            k = _staples(z, orient, parity, np.multiply, np.conj)
-            theta = rng.vonmises(-np.angle(k), scale * np.abs(k))
-            cfg.links[orient][sub] = theta
-            z[orient][sub] = np.exp(1j * theta)
+    plan = _sweep_plan(cfg)
+    for step in plan.steps:
+        k = plan.staples(step)
+        theta = rng.vonmises(-np.angle(k), scale * np.abs(k))
+        step.links[...] = theta
+        np.exp(1j * theta, out=step.bonds)
     return cfg
 
 
@@ -420,7 +491,7 @@ class WilsonObservable:
 
         Gathers the links the subjects use, inverted where a loop runs a bond
         backwards, and folds hol = hol U_j over the bond positions for all
-        loops at once: U(1) sums signed angles, SU(2) multiplies first rows
+        loops at once: U(1) sums signed angles, SU(2) multiplies pairs
         (a, b) and takes the trace 2 Re a, the other groups multiply
         matrices.  Each subject's value is the product of its loops' Tr / n,
         in loop order.
@@ -429,21 +500,24 @@ class WilsonObservable:
         forward, backward = (np.concatenate([cfg.links[o][:, bx, by] for o, bx, by in bonds],
                                             axis=1) for bonds in self._bonds)
         if cfg.is_u1:
-            one, inv, mul = np.zeros(()), np.negative, np.add
+            inv, mul, one = np.negative, np.add, np.zeros((chains, 1))
         elif spec == SU2:
-            forward, backward = forward[..., 0, :], backward[..., 0, :]
-            one, inv, mul = np.array([1.0 + 0j, 0j]), su2_row_inverse, su2_row_multiply
+            forward, backward = su2_pair(forward), su2_pair(backward)
+            inv, mul = su2_pair_inverse, su2_pair_multiply
+            one = (np.ones((chains, 1), dtype=complex), np.zeros((chains, 1), dtype=complex))
         else:
-            one, inv, mul = np.eye(n, dtype=spec.dtype), inverse, np.matmul
-        links = np.concatenate([forward, inv(backward),
-                                np.broadcast_to(one, (chains, 1) + one.shape)], axis=1)
-        hol = links[:, self._table[:, 0]]
+            inv, mul = inverse, np.matmul
+            one = np.broadcast_to(np.eye(n, dtype=spec.dtype), (chains, 1, n, n))
+        parts = (forward, inv(backward), one)
+        links = (tuple(np.concatenate(planes, axis=1) for planes in zip(*parts))
+                 if spec == SU2 else np.concatenate(parts, axis=1))
+        hol = _take(links, np.s_[:, self._table[:, 0]])
         for j in range(1, self._table.shape[1]):
-            hol = mul(hol, links[:, self._table[:, j]])
+            hol = mul(hol, _take(links, np.s_[:, self._table[:, j]]))
         if cfg.is_u1:
             tr = np.exp(1j * hol)
         elif spec == SU2:
-            tr = 2.0 * hol[..., 0].real
+            tr = 2.0 * hol[0].real
         else:
             tr = np.trace(hol, axis1=-2, axis2=-1)
         tr = tr.reshape((chains,) + self._real.shape).transpose(1, 2, 0)
@@ -624,12 +698,11 @@ def _axial_draw(box: LatticeBox, params: ActionParams, rng, chains: int):
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
     cos, sin = np.cos(theta), np.sin(theta)
     if spec == SU2:
-        q = np.stack([cos + 1j * sin * n[..., 2],
-                      sin * (n[..., 1] + 1j * n[..., 0])], axis=-1)
-        rows = u1[..., 0, :].copy()
+        qa, qb = cos + 1j * sin * n[..., 2], sin * (n[..., 1] + 1j * n[..., 0])
+        a, b = np.ones(u1.shape[:3], dtype=complex), np.zeros(u1.shape[:3], dtype=complex)
         for x in range(w):
-            rows[:, x + 1] = su2_row_multiply(q[:, x], rows[:, x])
-        u1[:, 1:] = su2_row_matrix(rows[:, 1:])
+            a[:, x + 1], b[:, x + 1] = su2_pair_multiply((qa[:, x], qb[:, x]), (a[:, x], b[:, x]))
+        u1[:, 1:] = su2_pair_matrix((a[:, 1:], b[:, 1:]))
         return cfg
     nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
     zero = np.zeros_like(nx)
@@ -674,25 +747,32 @@ def sample_iid(params: ActionParams, subjects, schedule: MCSchedule,
     return np.stack(rows), meta
 
 
-def integrated_autocorrelation(x: np.ndarray) -> float:
-    """Sokal-windowed tau_int of a 1-d series."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    if n < 8:
-        return 1.0
-    x = x - x.mean()
-    var = float(np.mean(x * x))
-    if var <= 0:
-        return 1.0
-    tau = 1.0
-    for lag in range(1, n // 4):
-        rho = float(np.mean(x[:-lag] * x[lag:])) / var
-        if rho < 0.05:
-            break
-        tau += 2.0 * rho
-        if lag > 6.0 * tau:
-            break
-    return tau
+def integrated_autocorrelation(x: np.ndarray):
+    """Sokal-windowed tau_int of each series along the last axis of x.
+
+    A series of length n < 8, or one with no variance, gets 1.  Otherwise
+    tau sums 2 rho over lags 1, 2, ... below n // 4, and the window of each
+    series closes at the first rho < 0.05 or once lag > 6 tau.  All series
+    run in one loop over lags, on a contiguous copy with per-series means,
+    and a closed window keeps its tau; a 1-d x gives a scalar.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    n = x.shape[-1]
+    rows = x.reshape(math.prod(x.shape[:-1]), n)
+    tau = np.ones(rows.shape[0])
+    if n >= 8:
+        rows = rows - rows.mean(axis=1, keepdims=True)
+        var = np.mean(rows * rows, axis=1)
+        live = var > 0
+        var[~live] = 1.0
+        for lag in range(1, n // 4):
+            if not live.any():
+                break
+            rho = np.mean(rows[:, :-lag] * rows[:, lag:], axis=1) / var
+            live &= ~(rho < 0.05)
+            tau = np.where(live, tau + 2.0 * rho, tau)
+            live &= ~(lag > 6.0 * tau)
+    return tau.reshape(x.shape[:-1])[()]
 
 
 def make_estimate(samples: np.ndarray, n_blocks: int = 16) -> Estimate:
@@ -713,8 +793,7 @@ def make_estimate(samples: np.ndarray, n_blocks: int = 16) -> Estimate:
         sigma = float(bvals.std(ddof=1) / math.sqrt(bvals.size))
     else:
         sigma = sigma_naive
-    tau = float(np.mean([integrated_autocorrelation(samples[:, c])
-                         for c in range(n_chains)]))
+    tau = float(np.mean(integrated_autocorrelation(samples.T)))
     return Estimate(mean, sigma, sigma_naive,
                     int(samples.size), tau)
 

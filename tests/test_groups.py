@@ -7,9 +7,9 @@ from loopfield.groups import (GroupSpec, parse_group, identity, multiply, invers
                               exp_map, exp_coords, haar_sample, is_in_group,
                               directional_derivative, casimir_standard,
                               casimir_standard_expected, gaussian_lie_sample,
-                              lie_vector_matrix, project_to_group, su2_exp_row,
-                              su2_row_inverse, su2_row_matrix, su2_row_multiply,
-                              GroupError)
+                              lie_vector_matrix, project_to_group, su2_exp_pair,
+                              su2_pair, su2_pair_inverse, su2_pair_matrix,
+                              su2_pair_multiply, su2_pair_trace, GroupError)
 
 ALL_SPECS = [GroupSpec("U", 1), GroupSpec("U", 2), GroupSpec("U", 3),
              GroupSpec("SU", 2), GroupSpec("SU", 3),
@@ -162,23 +162,71 @@ def test_batched_ops_match_single_calls(spec, shape, seed):
     assert project_to_group(q, spec).tobytes() == expected.tobytes()
 
 
+# The Cayley-Klein row operations on first rows (a, b), stacks of shape
+# (..., 2), that the pair operations replaced: the reference their bits must
+# match.
+
+def _row_second(p):
+    out = np.conj(p[..., ::-1])
+    out[..., 0] = -out[..., 0]
+    return out
+
+
+def _row_multiply(p, q):
+    return p[..., :1] * q + p[..., 1:] * _row_second(q)
+
+
+def _row_inverse(p):
+    out = np.conj(p)
+    out[..., 1] = -p[..., 1]
+    return out
+
+
+def _row_trace(u, k):
+    return 2.0 * np.real(u[..., 0] * k[..., 0] - u[..., 1] * np.conj(k[..., 1]))
+
+
+def _exp_row(coords):
+    a = np.dot(np.asarray(coords, dtype=float), lie_basis(GroupSpec("SU", 2))[:, 0, :])
+    sq = np.einsum("...i,...i->...", a, np.conj(a)).real
+    th = np.sqrt(np.maximum(sq, 1e-300))[..., None]
+    out = np.sin(th) / th * a
+    out[..., 0] += np.cos(th[..., 0])
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 3), max_size=3), st.sampled_from([0.0, 1e-9, 0.8, 4.0]),
        st.integers(0, 2**32 - 1))
 def test_su2_rows_match_matrix_ops(shape, width, seed):
-    # the Cayley-Klein row operations give the first rows of the matrix
-    # product, inverse and exponential, and a row fixes its matrix
+    # the Cayley-Klein pair operations give the bits of the row operations
+    # they replaced, and the first rows of the matrix product, inverse and
+    # exponential; a pair fixes its matrix.  At a zero coordinate (width 0)
+    # the exponential's zeros may differ in sign from the basis expansion's,
+    # so there the values must agree and the bits need not.
     spec = GroupSpec("SU", 2)
     shape = tuple(shape)
     rng = np.random.default_rng(seed)
     p, q = haar_sample(spec, rng, shape), haar_sample(spec, rng, shape)
     coords = rng.normal(0.0, 1.0, shape + (3,)) * width
-    for got, want in ((su2_row_multiply(p[..., 0, :], q[..., 0, :]), (p @ q)[..., 0, :]),
-                      (su2_row_inverse(p[..., 0, :]), inverse(p)[..., 0, :]),
-                      (su2_exp_row(coords), exp_coords(spec, coords)[..., 0, :]),
-                      (su2_row_matrix(p[..., 0, :]), p)):
+    row_p, row_q = p[..., 0, :], q[..., 0, :]
+    for pair, row, want, same_bits in (
+            (su2_pair_multiply(su2_pair(p), su2_pair(q)), _row_multiply(row_p, row_q),
+             (p @ q)[..., 0, :], True),
+            (su2_pair_inverse(su2_pair(p)), _row_inverse(row_p), inverse(p)[..., 0, :], True),
+            (su2_exp_pair(coords), _exp_row(coords), exp_coords(spec, coords)[..., 0, :],
+             width != 0.0)):
+        got = np.stack(pair, axis=-1)
         assert got.shape == want.shape
+        assert np.array_equal(got, row)
+        assert not same_bits or got.tobytes() == np.ascontiguousarray(row).tobytes()
         assert np.max(np.abs(got - want)) < 1e-14
+    trace = su2_pair_trace(su2_pair(p), su2_pair(q))
+    assert np.shape(trace) == shape
+    assert np.asarray(trace).tobytes() == np.asarray(_row_trace(row_p, row_q)).tobytes()
+    assert np.max(np.abs(trace - np.trace(p @ q, axis1=-2, axis2=-1).real)) < 1e-14
+    matrix = su2_pair_matrix(su2_pair(p))
+    assert matrix.shape == p.shape and np.max(np.abs(matrix - p)) < 1e-14
 
 
 def test_project_su3_stack():

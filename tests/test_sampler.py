@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from loopfield.groups import (GroupSpec, exp_coords, haar_sample, inverse, is_in_group,
-                              su2_exp_row, su2_row_inverse, su2_row_matrix,
-                              su2_row_multiply)
+                              su2_exp_pair, su2_pair, su2_pair_inverse, su2_pair_matrix,
+                              su2_pair_multiply, su2_pair_trace)
 from loopfield.action import ActionParams, char_coefficient, partition_function, \
     unnormalized_weight, standard_label, action_exponent_scale
 from loopfield.loops import (plaquette_loop, make_loop_from_moves, LoopString,
                              TRIVIAL_LOOP, as_string)
 from loopfield.sampler import (LatticeBox, MCSchedule, init_config,
-                               total_action, _staples,
+                               total_action, _sweep_plan,
                                sweep_metropolis, sweep_heatbath_u1,
                                plaquette_product, WilsonObservable,
                                box_for_subjects, run_chain, make_estimate,
@@ -77,30 +77,27 @@ def test_staples_give_local_action_change(spec):
     for width, height in ((3, 2), (1, 1), (1, 3), (4, 1)):
         cfg = init_config(LatticeBox(width, height), params, "hot", rng, chains=2)
         checked = 0
-        for orient, parity in itertools.product((0, 1), (0, 1)):
-            if spec == U1:
-                # complex staples from the phases e^{i theta} of the links
-                k_sub = _staples([np.exp(1j * u) for u in cfg.links], orient, parity,
-                                 np.multiply, np.conj)
-            elif spec == SU2:
-                # the first rows of the staples, from the first rows of the links
-                k_sub = _staples([u[..., 0, :] for u in cfg.links], orient, parity,
-                                 su2_row_multiply, su2_row_inverse)
-            else:
-                k_sub = _staples(cfg.links, orient, parity, np.matmul, inverse)
+        plan = _sweep_plan(cfg)
+        for (orient, parity), step in zip(itertools.product((0, 1), (0, 1)), plan.steps):
+            # U(1): complex staples from the phases e^{i theta} of the links;
+            # SU(2): the pairs of the staples, from the pairs of the links
+            k_sub = plan.staples(step)
             for x, y in np.ndindex(cfg.links[orient].shape[1:3]):
                 along = y if orient == 0 else x
                 if along % 2 != parity:
                     continue
-                k = k_sub[:, x, along // 2] if orient == 0 else k_sub[:, along // 2, y]
+                at = np.s_[:, x, along // 2] if orient == 0 else np.s_[:, along // 2, y]
                 u = cfg.links[orient][:, x, y]
                 if spec == U1:
+                    k = k_sub[at]
                     new = rng.uniform(-np.pi, np.pi, cfg.n_chains)
                     gain = np.real(np.exp(1j * new) * k) - np.real(np.exp(1j * u) * k)
                 elif spec == SU2:
+                    k = tuple(plane[at] for plane in k_sub)
                     new = haar_sample(spec, rng, cfg.n_chains)
-                    gain = _row_trace(new[:, 0], k) - _row_trace(u[:, 0], k)
+                    gain = su2_pair_trace(su2_pair(new), k) - su2_pair_trace(su2_pair(u), k)
                 else:
+                    k = k_sub[at]
                     new = haar_sample(spec, rng, cfg.n_chains)
                     gain = (np.einsum("cij,cji->c", new, k).real
                             - np.einsum("cij,cji->c", u, k).real)
@@ -112,32 +109,43 @@ def test_staples_give_local_action_change(spec):
         assert checked == cfg.box.n_bonds
 
 
-def _row_trace(u, k):
-    # Re Tr(U K) = 2 Re(a alpha - b beta*) for first rows (a, b) and (alpha, beta)
-    return 2.0 * np.real(u[..., 0] * k[..., 0] - u[..., 1] * np.conj(k[..., 1]))
-
-
 # Oracle: the full-field sweeps that build the staples of every bond of an
 # orientation, then gather and scatter one parity class by a boolean mask.
-# U(1) runs the same staple products on the phases e^{i theta}.  With
-# su2_rows=False the SU(2) branch multiplies 2x2 matrices: the reference
-# arithmetic that the Cayley-Klein row sweep must track.
+# U(1) runs the same staple products on the phases e^{i theta}, and SU(2) on
+# the Cayley-Klein pairs (a, b).  With su2_pairs=False the SU(2) branch
+# multiplies 2x2 matrices: the reference arithmetic that the pair sweep must
+# track.
 
-def _oracle_staples(cfg, orient, su2_rows=True):
+def _oracle_staples(cfg, orient, su2_pairs=True):
     u0, u1 = cfg.links
     w, h = cfg.box.width, cfg.box.height
     mul, inv = np.matmul, inverse
     if cfg.is_u1:
         u0, u1, mul, inv = np.exp(1j * u0), np.exp(1j * u1), np.multiply, np.conj
-    elif cfg.spec == SU2 and su2_rows:
-        u0, u1, mul, inv = u0[..., 0, :], u1[..., 0, :], su2_row_multiply, su2_row_inverse
-    k = np.zeros((u0, u1)[orient].shape, dtype=u0.dtype)
+    elif cfg.spec == SU2 and su2_pairs:
+        u0, u1, mul, inv = su2_pair(u0), su2_pair(u1), su2_pair_multiply, su2_pair_inverse
+    pairs = isinstance(u0, tuple)
+
+    def at(field, index):
+        return tuple(plane[index] for plane in field) if pairs else field[index]
+
+    k = (tuple(np.zeros(plane.shape, dtype=plane.dtype) for plane in (u0, u1)[orient])
+         if pairs else np.zeros((u0, u1)[orient].shape, dtype=u0.dtype))
+
+    def add(index, term):
+        for plane, t in zip(k, term) if pairs else ((k, term),):
+            plane[index] += t
+
     if orient == 0:
-        k[:, :, :h] += mul(mul(u1[:, 1:, :], inv(u0[:, :, 1:])), inv(u1[:, :w, :]))
-        k[:, :, 1:] += inv(mul(mul(inv(u1[:, :w, :]), u0[:, :, :h]), u1[:, 1:, :]))
+        add(np.s_[:, :, :h], mul(mul(at(u1, np.s_[:, 1:, :]), inv(at(u0, np.s_[:, :, 1:]))),
+                                 inv(at(u1, np.s_[:, :w, :]))))
+        add(np.s_[:, :, 1:], inv(mul(mul(inv(at(u1, np.s_[:, :w, :])), at(u0, np.s_[:, :, :h])),
+                                     at(u1, np.s_[:, 1:, :]))))
     else:
-        k[:, 1:, :] += mul(mul(inv(u0[:, :, 1:]), inv(u1[:, :w, :])), u0[:, :, :h])
-        k[:, :w, :] += inv(mul(mul(u0[:, :, :h], u1[:, 1:, :]), inv(u0[:, :, 1:])))
+        add(np.s_[:, 1:, :], mul(mul(inv(at(u0, np.s_[:, :, 1:])), inv(at(u1, np.s_[:, :w, :]))),
+                                 at(u0, np.s_[:, :, :h])))
+        add(np.s_[:, :w, :], inv(mul(mul(at(u0, np.s_[:, :, :h]), at(u1, np.s_[:, 1:, :])),
+                                     inv(at(u0, np.s_[:, :, 1:])))))
     return k
 
 
@@ -146,22 +154,23 @@ def _oracle_masks(arr, orient):
     return idx % 2 == 0, idx % 2 == 1
 
 
-def _oracle_metropolis(cfg, rng, proposal_scale, su2_rows=True):
+def _oracle_metropolis(cfg, rng, proposal_scale, su2_pairs=True):
     spec, scale = cfg.spec, action_exponent_scale(cfg.params)
     accepted = total = 0
     for orient in (0, 1):
         arr = cfg.links[orient]
         for mask in _oracle_masks(arr, orient):
-            km = _oracle_staples(cfg, orient, su2_rows)[:, mask]
+            k = _oracle_staples(cfg, orient, su2_pairs)
             u = arr[:, mask]
-            if spec == SU2 and su2_rows:
-                row = u[..., 0, :]
-                coords = rng.normal(0.0, proposal_scale, row.shape[:-1] + (3,))
-                prop = su2_row_multiply(su2_exp_row(coords), row)
-                logw = scale * (_row_trace(prop, km) - _row_trace(row, km))
+            if spec == SU2 and su2_pairs:
+                km = tuple(plane[:, mask] for plane in k)
+                coords = rng.normal(0.0, proposal_scale, u.shape[:-2] + (3,))
+                prop = su2_pair_multiply(su2_exp_pair(coords), su2_pair(u))
+                logw = scale * (su2_pair_trace(prop, km) - su2_pair_trace(su2_pair(u), km))
                 acc = np.log(rng.uniform(size=logw.shape)) < logw
-                arr[:, mask] = np.where(acc[..., None, None], su2_row_matrix(prop), u)
+                arr[:, mask] = np.where(acc[..., None, None], su2_pair_matrix(prop), u)
             else:
+                km = k[:, mask]
                 coords = rng.normal(0.0, proposal_scale, u.shape[:-2] + (spec.dim_lie,))
                 prop = exp_coords(spec, coords) @ u
                 logw = scale * (np.einsum("...ij,...ji->...", prop, km).real
@@ -206,6 +215,42 @@ def test_sublattice_sweeps_match_full_field_oracle(spec, width, height, seed):
     assert runs[0] == runs[1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([U1, SU2, SO3]), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 1), st.integers(0, 2**32 - 1))
+def test_rebound_links_get_a_new_sweep_plan(spec, width, height, orient, seed):
+    # a sweep plan views the link arrays it was built on: after
+    # cfg.links[o] is rebound the next sweep must update the new array, and
+    # sweeping a gauge transform or a copy must leave the original alone;
+    # links, acceptances and generator state match the full-field oracle
+    params = ActionParams(spec, 0.7)
+    runs = []
+    for metropolis, heatbath in ((sweep_metropolis, sweep_heatbath_u1),
+                                 (_oracle_metropolis, _oracle_heatbath)):
+        def sweep(cfg):  # the acceptance, None for the heat bath
+            if spec == U1:
+                heatbath(cfg, rng)
+                return None
+            return metropolis(cfg, rng, 0.5)
+
+        rng = np.random.default_rng(seed)
+        box = LatticeBox(width, height)
+        cfg = init_config(box, params, "hot", rng, chains=2)
+        g = (rng.uniform(-np.pi, np.pi, (width + 1, height + 1)) if spec == U1
+             else haar_sample(spec, rng, (width + 1, height + 1)))
+        accs = [sweep(cfg)]
+        cfg.links[orient] = cfg.links[orient].copy()
+        accs.append(sweep(cfg))
+        before = [a.tobytes() for a in cfg.links]
+        others = [gauge_transform(cfg, g), cfg.copy()]
+        for other in others:
+            accs += [sweep(other), sweep(other)]
+        assert [a.tobytes() for a in cfg.links] == before
+        runs.append((before, [[a.tobytes() for a in o.links] for o in others], accs,
+                     rng.bit_generator.state))
+    assert runs[0] == runs[1]
+
+
 def _assert_sweep_refused(sweep, spec):
     # the sweep raises before it draws a number or writes a link
     rng = np.random.default_rng(3)
@@ -229,21 +274,21 @@ def test_heatbath_refuses_matrix_groups(spec):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_su2_row_sweep_tracks_matrix_arithmetic(width, height, seed):
-    # the row sweep makes the accept/reject decisions of the matrix sweep and
+def test_su2_pair_sweep_tracks_matrix_arithmetic(width, height, seed):
+    # the pair sweep makes the accept/reject decisions of the matrix sweep and
     # draws the same numbers; its links differ from the matrix sweep's only
     # by rounding, and stay in SU(2)
     params = ActionParams(SU2, 0.7)
     runs = []
     for metropolis in (sweep_metropolis,
-                       lambda cfg, rng, s: _oracle_metropolis(cfg, rng, s, su2_rows=False)):
+                       lambda cfg, rng, s: _oracle_metropolis(cfg, rng, s, su2_pairs=False)):
         rng = np.random.default_rng(seed)
         cfg = init_config(LatticeBox(width, height), params, "hot", rng, chains=2)
         accs = [metropolis(cfg, rng, 0.5) for _ in range(20)]
         runs.append((cfg.links, accs, rng.bit_generator.state))
-    (rows, accs, state), (matrices, ref_accs, ref_state) = runs
+    (pairs, accs, state), (matrices, ref_accs, ref_state) = runs
     assert accs == ref_accs and state == ref_state
-    for arr, ref in zip(rows, matrices):
+    for arr, ref in zip(pairs, matrices):
         assert np.max(np.abs(arr - ref)) < 1e-12
         assert is_in_group(arr, SU2, tol=1e-12)
 
@@ -480,6 +525,47 @@ def test_blocked_error_exceeds_naive_on_correlated_series():
     assert est.sigma > 1.5 * est.sigma_naive
     assert est.tau_int > 3.0
     assert integrated_autocorrelation(x[:, 0]) > 3.0
+
+
+def _scalar_tau_int(x):
+    # the one-series Sokal window, lag by lag: the reference for the batched one
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    if n < 8:
+        return 1.0
+    x = x - x.mean()
+    var = float(np.mean(x * x))
+    if var <= 0:
+        return 1.0
+    tau = 1.0
+    for lag in range(1, n // 4):
+        rho = float(np.mean(x[:-lag] * x[lag:])) / var
+        if rho < 0.05:
+            break
+        tau += 2.0 * rho
+        if lag > 6.0 * tau:
+            break
+    return tau
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 300), st.sampled_from([0.0, 0.5, 0.95, 0.999]),
+       st.integers(0, 2**32 - 1))
+def test_batched_tau_int_matches_scalar_loop(chains, n, rho, seed):
+    # one lag loop over all chains gives each chain's scalar tau_int bit for
+    # bit: AR(1) series from white to strongly autocorrelated, a constant
+    # chain, and series shorter than the window's minimum of 8
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, chains))
+    for i in range(1, n):
+        x[i] = rho * x[i - 1] + rng.normal(size=chains)
+    if chains > 1:
+        x[:, 0] = 0.25  # no variance
+    want = [_scalar_tau_int(x[:, c]) for c in range(chains)]
+    assert integrated_autocorrelation(x.T).tolist() == want
+    assert [integrated_autocorrelation(x[:, c]) for c in range(chains)] == want
+    if n > 1:
+        assert make_estimate(x).tau_int == float(np.mean(want))
 
 
 def test_estimate_of_iid_series():
