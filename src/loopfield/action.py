@@ -78,20 +78,55 @@ def weyl_weight(spec: GroupSpec, angles):
     raise NotImplementedError(f"no torus reduction for {spec}")
 
 
+# The quadrature weights are cached per grid, read-only, because a sweep
+# integrates many functions on the same grids: the angles and the Weyl
+# weight per (group, m), the Boltzmann weight per (params, m).  The
+# integrals at one eps reach at most four grid sizes, and the next eps
+# needs new Boltzmann weights, so four of those are kept.  A U(2) grid of
+# m = 512 holds 2 MB per array.
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=16)
+def _quadrature_grid(spec: GroupSpec, m: int):
+    """(angles, Weyl weight) on the grid of m points per circle."""
+    angles = tuple(_grids(spec, m))
+    weyl = weyl_weight(spec, angles)
+    _read_only(*angles, weyl)
+    return angles, weyl
+
+
+@functools.lru_cache(maxsize=4)
+def _boltzmann_weight(params: ActionParams, m: int):
+    """unnormalized_weight(params, .) on the grid of m points per circle."""
+    weight = unnormalized_weight(params, _quadrature_grid(params.spec, m)[0])
+    _read_only(weight)
+    return weight
+
+
 def integrate_class_function(spec: GroupSpec, fn, tol: float = 1e-11,
-                             start: int = 256, max_points: int = 1 << 21):
+                             start: int = 256, max_points: int = 1 << 21,
+                             weight: ActionParams | None = None):
     """Certified Haar integral of a class function given in angle coordinates.
 
-    fn(*angles) -> array over the grid.  Doubles the grid until two
-    resolutions agree to tol (relative to max(1, |I|)).
+    fn(*angles) -> array over the grid, times the Boltzmann weight
+    unnormalized_weight(weight, angles) when weight is given.  Doubles the
+    grid until two resolutions agree to tol (relative to max(1, |I|)).
     """
     _require_ladder(spec)
     two_d = spec == GroupSpec("U", 2)
     m = 64 if two_d else start
     prev = None
     while (m * m if two_d else m) <= max_points:
-        angles = _grids(spec, m)
-        vals = np.mean(weyl_weight(spec, angles) * fn(*angles))
+        angles, weyl = _quadrature_grid(spec, m)
+        vals = fn(*angles)
+        if weight is not None:
+            vals = vals * _boltzmann_weight(weight, m)
+        vals = np.mean(weyl * vals)
         if prev is not None and abs(vals - prev) <= tol * max(1.0, abs(vals)):
             return vals
         prev = vals
@@ -129,10 +164,10 @@ def partition_function(params: ActionParams, tol: float = 1e-11) -> float:
     return _partition_function(params, tol)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=128)
 def _partition_function(params: ActionParams, tol: float) -> float:
-    return float(integrate_class_function(
-        params.spec, lambda *a: unnormalized_weight(params, a), tol=tol))
+    return float(integrate_class_function(params.spec, lambda *a: 1.0, tol=tol,
+                                          weight=params))
 
 
 def wilson_density(q: np.ndarray, params: ActionParams, z: float | None = None) -> float:
@@ -206,11 +241,17 @@ def character_values(spec: GroupSpec, label, angles):
         l1, l2 = label
         t1, t2 = angles
         m = l1 - l2
+        # exponentials and product in place, since on a quadrature grid the
+        # cached 2-D angles and weights stay in memory meanwhile
         acc = np.zeros(np.broadcast(t1, t2).shape, dtype=complex)
         for i in range(m + 1):
-            acc += np.exp(1j * (i * t1 + (m - i) * t2))
-        return np.exp(1j * l2 * (t1 + t2)) * acc
+            acc += _exp_in_place(1j * (i * t1 + (m - i) * t2))
+        return np.multiply(_exp_in_place(1j * l2 * (t1 + t2)), acc, out=acc)
     raise NotImplementedError
+
+
+def _exp_in_place(z):
+    return np.exp(z, out=z)
 
 
 def gen_labels(spec: GroupSpec):
@@ -275,11 +316,11 @@ def char_coefficient(label, params: ActionParams, tol: float = 1e-11) -> float:
     if label == trivial_label(spec):
         return 1.0
 
-    def num(*angles):
-        return np.conj(character_values(spec, label, angles)) * unnormalized_weight(params, angles)
+    def conj_char(*angles):
+        return np.conj(character_values(spec, label, angles))
 
     z = partition_function(params, tol=tol)
-    val = integrate_class_function(spec, num, tol=tol) / z
+    val = integrate_class_function(spec, conj_char, tol=tol, weight=params) / z
     return float(np.real(val)) / irrep(spec, label).dim
 
 
@@ -570,8 +611,7 @@ def gaussian_lemma_check(spec: GroupSpec, f_angles, f_matrix, eps_list,
     for eps in eps_list:
         params = ActionParams(spec, eps)
         z = partition_function(params, tol=tol)
-        val = integrate_class_function(
-            spec, lambda *a: f_angles(*a) * unnormalized_weight(params, a), tol=tol) / z
+        val = integrate_class_function(spec, f_angles, tol=tol, weight=params) / z
         resid = abs(float(np.real(val)) - 0.5 * eps**2 * delta_identity)
         rows.append({"epsilon": eps, "integral": float(np.real(val)),
                      "target": 0.5 * eps**2 * delta_identity, "residual": resid})
@@ -607,11 +647,11 @@ def lemma_j1_check(phi1: float, phi2: float, t: float, eps_list,
 
         def integrand(theta):
             sk = wilson_kfold_eval(table, k, (theta + phi2,), tol=tol)
-            s1 = unnormalized_weight(params, (theta,))
-            return (2j * np.sin(theta) * np.exp(1j * phi1)) * sk * s1
+            return (2j * np.sin(theta) * np.exp(1j * phi1)) * sk
 
         z = partition_function(params, tol=tol)
-        lhs = integrate_class_function(spec, integrand, tol=tol) / (2.0 * eps**2 * z)
+        lhs = integrate_class_function(spec, integrand, tol=tol,
+                                       weight=params) / (2.0 * eps**2 * z)
         rows.append({"epsilon": eps, "t_eps": t_eps,
                      "lhs": complex(lhs), "rhs": complex(rhs),
                      "gap": abs(complex(lhs) - complex(rhs))})

@@ -10,11 +10,15 @@ winding number of the loop around each face enters:
     E W  =  prod_F exp(-n_F^2 t_F / 2)             (continuum)
 
 Faces are the connected components of the unit cells of the loop's
-bounding box, with the occupied edges as walls: one scipy.ndimage.label
-call on a doubled grid of cells and walls.  Winding numbers form one
-integer field over the cells: the winding around the cell (i, j) is the
-signed count of the horizontal bonds in column i at heights y <= j (+1 for
-a bond going right, -1 for one going left), a running sum up each column.
+bounding box, with the occupied edges as walls, labelled in NumPy on a
+doubled grid of cells and walls: runs of cells up each column, merged
+across open walls by min-label propagation (_label_cells).  Winding
+numbers form one integer field over the cells: the winding around the cell
+(i, j) is the signed count of the horizontal bonds in column i at heights
+y <= j (+1 for a bond going right, -1 for one going left), a running sum
+up each column.  Each U(1) value is computed once per (eps, tol, subject)
+and each coefficient a_n(eps) once per (n, eps, tol), in bounded memos
+that every U1Backend shares.
 
 The module also provides the closed-form simple-loop expectations for all
 supported groups, analytic and finite-difference area derivatives, the
@@ -218,8 +222,8 @@ def _pop_order(x0, y0, nx, ny):
 
     The faces of build_graph come in the order in which a flood fill would
     pop its seeds from that set, and the face order is the order of the
-    factors in U1Backend.expectation_of_graph, so it fixes the last bits of
-    every exact value.  That order is CPython's: tuple hashing and the slot
+    factors in _u1_product, so it fixes the last bits of every exact
+    value.  That order is CPython's: tuple hashing and the slot
     order of a set filled in row order, which set.pop walks from the front
     and which no later removal reorders.  Another interpreter may give
     other bits.
@@ -232,28 +236,79 @@ def _pop_order(x0, y0, nx, ny):
     return order
 
 
+def _wall_grid(x, y, d, origin, shape):
+    """The doubled grid of the box of `shape` cells at `origin`: cell (i, j)
+    at [2i' + 1, 2j' + 1] (i' = i - x0, j' = j - y0), the walls between
+    cells at the mixed positions, True where open; every wall on which a
+    bond x, y, d lies is closed."""
+    (x0, y0), (nx, ny) = origin, shape
+    grid = np.zeros((2 * nx + 1, 2 * ny + 1), dtype=bool)
+    grid[1::2, 1:-1] = True  # cells, and the walls between j and j + 1
+    grid[1:-1, 1::2] = True  # cells, and the walls between i and i + 1
+    step = _STEPS[d]
+    grid[2 * (x - x0) + step[:, 0], 2 * (y - y0) + step[:, 1]] = False
+    return grid
+
+
+def _label_cells(grid):
+    """The connected components of the cells of a doubled grid, as int32
+    labels 1, 2, ... in the raster order of each component's first cell.
+
+    Cell (i, j) sits at grid[2i + 1, 2j + 1] and the walls between cells at
+    the mixed positions; True is open.  Each column of cells splits into runs
+    at its closed walls; one cumsum numbers the runs in row-major order.
+    Runs joined by an open wall to the next column are merged by min-label
+    propagation with pointer jumping, so every run ends at the smallest run
+    id of its component, and the rank of that id is the label.  A run starts
+    at its first cell, so a component's smallest run holds its first cell in
+    raster order: these are the labels that a raster-scan labelling of the
+    whole grid (4-connected, numbered by first pixel) gives the cells.
+    """
+    open_up = grid[1::2, 2:-1:2]     # between cells (i, j) and (i, j + 1)
+    open_right = grid[2:-1:2, 1::2]  # between cells (i, j) and (i + 1, j)
+    nx, ny = open_right.shape[0] + 1, open_up.shape[1] + 1
+    start = np.ones((nx, ny), dtype=bool)
+    start[:, 1:] = ~open_up
+    run = np.cumsum(start, dtype=np.int32).reshape(nx, ny) - 1
+    a, b = run[:-1][open_right], run[1:][open_right]
+    # a and b ascend in row-major order, so repeated pairs of runs are
+    # adjacent: keep the first of each
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    a, b = a[keep], b[keep]
+    root = np.arange(run[-1, -1] + 1, dtype=np.int32)
+    while True:
+        ra, rb = root[a], root[b]
+        if (ra == rb).all():
+            break
+        low = np.minimum(ra, rb)
+        np.minimum.at(root, ra, low)  # hook each root to the lower one
+        np.minimum.at(root, rb, low)
+        while True:
+            jumped = root[root]
+            if (jumped == root).all():
+                break
+            root = jumped
+    rank = np.cumsum(root == np.arange(root.size), dtype=np.int32)
+    return rank[root][run]
+
+
 def build_graph(obj) -> PlanarLoopGraph:
     """Faces and winding numbers of a loop or string.
 
     The cells of the winding box sit at the odd positions of a doubled
     grid, the walls between them at the mixed ones; a wall is closed where
-    an occupied edge lies.  scipy.ndimage.label then gives each face one
-    label, and the box's margin cell labels the unbounded face.
+    an occupied edge lies.  _label_cells then gives each face one label,
+    numbered in the raster order of the face's first cell, and the box's
+    margin cell labels the unbounded face.
     """
-    from scipy import ndimage  # here, so that importing loopfield stays light
-
     string = as_string(obj)
     if all(l.is_trivial for l in string):
         return PlanarLoopGraph(obj, [])
     x, y, d = _bond_arrays(string)
     (x0, y0), wind = _winding_field(x, y, d)
     nx, ny = wind.shape
-    grid = np.zeros((2 * nx + 1, 2 * ny + 1), dtype=bool)
-    grid[1::2, 1:-1] = True  # cells, and the walls between j and j + 1
-    grid[1:-1, 1::2] = True  # cells, and the walls between i and i + 1
-    step = _STEPS[d]
-    grid[2 * (x - x0) + step[:, 0], 2 * (y - y0) + step[:, 1]] = False
-    ids = np.ascontiguousarray(ndimage.label(grid)[0][1::2, 1::2])
+    ids = _label_cells(_wall_grid(x, y, d, (x0, y0), (nx, ny)))
 
     order = _pop_order(x0, y0, nx, ny)
     labels, first = np.unique(ids.ravel()[order], return_index=True)
@@ -275,34 +330,51 @@ def build_graph(obj) -> PlanarLoopGraph:
 # abelian expectations
 
 
+# The exact U(1) values are memoized per (eps, tol): one coefficient per
+# winding |n| and one product per subject, shared by every U1Backend.  Both
+# caches call build_graph and char_coefficient through this module's
+# globals, so a wrapper bound to those names sees every call.  The value
+# memo holds its subjects; 512 covers the repeats of a sweep of the
+# committed configs, whose exact experiments evaluate about 600 subjects.
+
+
+@lru_cache(maxsize=256)
+def _u1_coefficient(n: int, epsilon: float, tol: float) -> float:
+    """a_n(eps) of U(1) for n >= 1."""
+    return char_coefficient(n, ActionParams(GroupSpec("U", 1), epsilon), tol=tol)
+
+
+def _u1_product(faces, epsilon: float, tol: float) -> float:
+    """prod_F a_{n_F}(eps)^{plaquettes_F}, in face order."""
+    val = 1.0
+    for f in faces:
+        n = abs(int(f.winding))
+        val *= (_u1_coefficient(n, epsilon, tol) if n else 1.0) ** f.plaquettes
+    return val
+
+
+@lru_cache(maxsize=512)
+def _u1_value(obj, epsilon: float, tol: float) -> float:
+    return _u1_product(build_graph(obj).faces, epsilon, tol)
+
+
 class U1Backend:
     """Exact U(1) expectations at one lattice spacing via face products."""
 
     def __init__(self, epsilon: float, tol: float = 1e-12):
         self.params = ActionParams(GroupSpec("U", 1), epsilon)
         self.tol = tol
-        self._coeff = {0: 1.0}
 
     @property
     def epsilon(self):
         return self.params.epsilon
 
-    def coefficient(self, n: int) -> float:
-        n = abs(int(n))
-        if n not in self._coeff:
-            self._coeff[n] = char_coefficient(n, self.params, tol=self.tol)
-        return self._coeff[n]
-
     def expectation(self, obj) -> float:
         """E W for a loop or string, exactly (up to quadrature certification)."""
-        graph = build_graph(obj)
-        return self.expectation_of_graph(graph)
+        return _u1_value(obj, self.epsilon, self.tol)
 
     def expectation_of_graph(self, graph: PlanarLoopGraph) -> float:
-        val = 1.0
-        for f in graph.faces:
-            val *= self.coefficient(f.winding) ** f.plaquettes
-        return val
+        return _u1_product(graph.faces, self.epsilon, self.tol)
 
 
 def u1_expectation_discrete(obj, epsilon: float, backend: U1Backend | None = None) -> float:

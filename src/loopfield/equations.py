@@ -23,14 +23,14 @@ and a Metropolis chain (`run_chain`) for the other groups.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from loopfield.groups import GroupSpec, casimir_standard
 from loopfield.action import (ActionParams, char_coefficient, standard_label,
-                              integrate_class_function, unnormalized_weight,
-                              partition_function)
+                              integrate_class_function, partition_function)
 from loopfield.loops import (LoopString, as_string, bond_inverse,
                              string_deformation_sets, string_split, string_merge,
                              string_twist, expansion_sets, compatible_triples)
@@ -302,12 +302,16 @@ def trace_power_integral(spec: GroupSpec, params: ActionParams, power: int,
         if spec == GroupSpec("SO", 3):
             return 1.0 + 2.0 * np.cos(power * angles[0])
         if spec == GroupSpec("U", 2):
-            return np.exp(1j * power * angles[0]) + np.exp(1j * power * angles[1])
+            # the exponentials in place: the quadrature's cached 2-D grids
+            # stay in memory meanwhile
+            out, z = (1j * power * a for a in angles)
+            np.exp(out, out=out)
+            out += np.exp(z, out=z)
+            return out
         raise NotImplementedError
 
     z = partition_function(params, tol=tol)
-    val = integrate_class_function(
-        spec, lambda *a: tr_power(*a) * unnormalized_weight(params, a), tol=tol) / z
+    val = integrate_class_function(spec, tr_power, tol=tol, weight=params) / z
     return float(np.real(val)) / spec.n
 
 
@@ -316,12 +320,14 @@ def convergence_simple(spec: GroupSpec, t: float, eps_list, tol: float = 1e-11):
 
     All four deformed expectations reduce to single-variable quadratures:
     inner- = a^{T-1}, outer- = a^{T+1}, inner+ = a^{T-1} q2,
-    outer+ = a^T q1 with q_m = (1/N) int Tr(Q^m) S^eps dQ.
+    outer+ = a^T q1 with q_m = (1/N) int Tr(Q^m) S^eps dQ.  Each row
+    carries the seconds it took.
     """
     c_std = casimir_standard(spec)
     target = -c_std * math.exp(0.5 * c_std * t)
     rows = []
     for eps in eps_list:
+        t0 = time.perf_counter()
         params = ActionParams(spec, eps)
         bigt = int(round(t / eps**2))
         a = char_coefficient(standard_label(spec), params, tol=tol)
@@ -337,6 +343,7 @@ def convergence_simple(spec: GroupSpec, t: float, eps_list, tol: float = 1e-11):
             "D": d_val, "target": target, "gap": abs(d_val - target),
             "outer_cancel": abs(e_out_minus - e_out_plus),
             "E_discrete": a**bigt,
+            "seconds": time.perf_counter() - t0,
         })
     return {"group": str(spec), "t": t, "target": target, "rows": rows}
 
@@ -349,9 +356,10 @@ def convergence_crossing(eps_list,
     builds at each eps: per-triple combinations and the general (b, a)
     combinations, against the alternating area derivative, and the
     splitting (or, across two components, merger) term each triple equals
-    exactly."""
+    exactly.  Each row carries the seconds it took."""
     rows = []
     for eps in eps_list:
+        t0 = time.perf_counter()
         geometry = geometry_at(eps)
         backend = U1Backend(eps)
         target = alternating_area_derivative(geometry)
@@ -389,6 +397,7 @@ def convergence_crossing(eps_list,
             "split_term": split_val,
             "exactness": max(abs(v - split_val) for v in triple_values),
             "geometry": geometry.realized(),
+            "seconds": time.perf_counter() - t0,
         })
     return {"family": geometry.kind, "rows": rows}
 
@@ -423,10 +432,12 @@ def crossing_im_sweep(eps_list, family: str = "coil", t4: float = 0.5,
       D_e   -> 2 (d1-d2+d3-d4) E W + I1 + I3
       D_e1  -> 2 (d1-d4) E W + 2 I1
       D_e3  -> 2 (d3-d2) E W + 2 I3
-    and the continuum identities these limits satisfy.
+    and the continuum identities these limits satisfy.  Each row carries
+    the seconds it took.
     """
     rows = []
     for eps in eps_list:
+        t0 = time.perf_counter()
         geometry = _crossing_family(family, eps, t2, t4)
         backend = U1Backend(eps)
         faces = geometry.lattice_faces()
@@ -450,6 +461,7 @@ def crossing_im_sweep(eps_list, family: str = "coil", t4: float = 0.5,
             "identity_g2": abs(limit_e1 - ew),
             "identity_g3": abs(limit_e3 - ew),
             "I": ims,
+            "seconds": time.perf_counter() - t0,
         })
     return {"family": family, "rows": rows}
 

@@ -99,7 +99,11 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose over the last two axes: the inverse of each group element."""
+    """Conjugate transpose over the last two axes: the inverse of each group
+    element.  For a real stack (SO(N)) it is a transposed view of `a`, not a
+    copy, so callers must not write into it."""
+    if np.isrealobj(a):
+        return a.swapaxes(-1, -2)
     return np.conj(a).swapaxes(-1, -2)
 
 
@@ -152,7 +156,7 @@ def inner_product(spec: GroupSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float(val.real)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def lie_basis(spec: GroupSpec) -> np.ndarray:
     """Orthonormal basis of the Lie algebra, shape (dim_lie, N, N).
 

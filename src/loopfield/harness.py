@@ -353,12 +353,20 @@ def run_verify_discrete(cfg):
     return rows, clauses, {}
 
 
+def _eps_seconds(*sweeps):
+    """timings.eps_s: the seconds spent at each eps of the grid, summed over
+    the sweeps (whose rows carry "seconds")."""
+    return {"eps_s": [sum(r["seconds"] for r in rows)
+                      for rows in zip(*(s["rows"] for s in sweeps))]}
+
+
 def run_converge_simple(cfg):
     final_tol = cfg["tolerances"]["final_gap"]
     outer_tol = cfg["tolerances"]["outer_cancel"]
-    rows, clauses = [], []
+    rows, clauses, sweeps = [], [], []
     for spec in cfg["groups"]["list"]:
         rep = convergence_simple(spec, cfg["geometry"]["t"], cfg["grid"]["epsilons"])
+        sweeps.append(rep)
         gaps = [r["gap"] for r in rep["rows"]]
         outs = [r["outer_cancel"] for r in rep["rows"]]
         for r in rep["rows"]:
@@ -371,7 +379,7 @@ def run_converge_simple(cfg):
                               gaps[-1] < final_tol, f"{gaps[-1]:.2e}"))
         clauses.append(Clause(f"{spec}: exact outer cancellation",
                               max(outs) < outer_tol, f"max {max(outs):.2e}"))
-    return rows, clauses, {}
+    return rows, clauses, {"timings": _eps_seconds(*sweeps)}
 
 
 def run_converge_crossing(cfg):
@@ -426,7 +434,8 @@ def run_converge_crossing(cfg):
     for key in ("gap_e", "gap_e1", "gap_e3"):
         clauses.append(_decreasing(f"deformation limit sweep {key} decreasing",
                                    [r[key] for r in im["rows"]]))
-    return rows, clauses, {"geometry": [r["geometry"] for r in rep["rows"]]}
+    return rows, clauses, {"geometry": [r["geometry"] for r in rep["rows"]],
+                           "timings": _eps_seconds(rep, im)}
 
 
 def run_converge_merger(cfg):
@@ -450,7 +459,8 @@ def run_converge_merger(cfg):
     gap_gen = rep["rows"][-1]["gap_combos"]
     clauses.append(Clause("general combination shares the limit",
                           gap_gen < final_tol, f"{gap_gen:.2e}"))
-    return rows, clauses, {"geometry": [r["geometry"] for r in rep["rows"]]}
+    return rows, clauses, {"geometry": [r["geometry"] for r in rep["rows"]],
+                           "timings": _eps_seconds(rep)}
 
 
 def run_gauss_lemma(cfg):

@@ -619,7 +619,7 @@ def _mean_or_none(values):
 # exact i.i.d. draws in axial gauge
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def class_angle_table(params: ActionParams):
     """(F, f): the CDF and the normalized density of a plaquette's class
     angle theta in [0, 2 pi) at the nodes 2 pi j / M, j = 0..M.

@@ -289,3 +289,95 @@ def test_character_values_dimensions():
     assert character_values(U2, (2, 0), z2)[0] == pytest.approx(3.0)
     labels = iter_labels(U2, 3.0)
     assert (1, 0) in labels and (0, -1) in labels
+
+
+# ---------------------------------------------------------------------------
+# the quadrature weight caches
+
+
+def _weight_caches():
+    import loopfield.action as action
+    return (action._quadrature_grid, action._boltzmann_weight,
+            action._partition_function)
+
+
+def _fresh_integral(spec, fn, tol=1e-11):
+    """integrate_class_function as it was before the weight caches: new grids
+    and weights at every level, the Boltzmann weight inside the integrand."""
+    import loopfield.action as action
+    m = 64 if spec == U2 else 256
+    prev = None
+    while True:
+        angles = action._grids(spec, m)
+        vals = np.mean(action.weyl_weight(spec, angles) * fn(*angles))
+        if prev is not None and abs(vals - prev) <= tol * max(1.0, abs(vals)):
+            return vals
+        prev = vals
+        m *= 2
+
+
+@pytest.mark.parametrize("spec", [U1, SU2, SO3, U2])
+def test_weighted_quadrature_keeps_every_bit(spec):
+    # weyl * (g * boltzmann), the old product order, on the cached grids
+    params = ActionParams(spec, 0.4)
+    label = standard_label(spec)
+
+    def g(*angles):
+        return np.conj(character_values(spec, label, angles))
+
+    weighted = integrate_class_function(spec, g, weight=params)
+    assert weighted == _fresh_integral(
+        spec, lambda *a: g(*a) * unnormalized_weight(params, a))
+    assert partition_function(params) == _fresh_integral(
+        spec, lambda *a: unnormalized_weight(params, a))
+
+
+@pytest.mark.parametrize("spec", [U1, SU2, SO3, U2])
+def test_cached_quadrature_gives_the_cold_floats(spec):
+    from loopfield.equations import trace_power_integral
+
+    def values():
+        out = []
+        for eps in (0.5, 0.3):
+            params = ActionParams(spec, eps)
+            out += [partition_function(params),
+                    char_coefficient(standard_label(spec), params),
+                    trace_power_integral(spec, params, 1),
+                    trace_power_integral(spec, params, 2)]
+        return out
+
+    for cache in _weight_caches():
+        cache.cache_clear()
+    cold = values()
+    _weight_caches()[2].cache_clear()  # Z again, now on the cached weights
+    warm = values()
+    assert warm == cold
+    assert _weight_caches()[1].cache_info().hits > 0
+
+
+def test_every_cache_is_bounded():
+    # an unbounded cache would grow with every eps and grid a process meets
+    import sys
+    import loopfield.harness  # noqa: F401  (imports every module)
+    caches = {f"{name}.{attr}": value
+              for name, module in sorted(sys.modules.items())
+              if name.startswith("loopfield") and module is not None
+              for attr, value in vars(module).items()
+              if callable(getattr(value, "cache_parameters", None))}
+    assert {"loopfield.action._quadrature_grid", "loopfield.action._boltzmann_weight",
+            "loopfield.action._partition_function", "loopfield.driver._u1_value",
+            "loopfield.driver._u1_coefficient"} <= set(caches)
+    unbounded = [k for k, c in caches.items() if c.cache_parameters()["maxsize"] is None]
+    assert not unbounded, unbounded
+
+
+def test_cached_quadrature_arrays_are_read_only():
+    import loopfield.action as action
+    for spec in (U1, SU2, U2):
+        angles, weyl = action._quadrature_grid(spec, 64)
+        for a in (*angles, weyl):
+            assert not a.flags.writeable
+    weight = action._boltzmann_weight(ActionParams(U2, 0.5), 64)
+    assert not weight.flags.writeable
+    with pytest.raises(ValueError):
+        weight[0, 0] = 0.0

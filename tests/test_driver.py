@@ -9,6 +9,7 @@ from loopfield.loops import (DIRS, Loop, make_loop, make_loop_from_moves,
                              plaquette_loop, LoopString, as_string, bond_inverse,
                              occurrences, random_loop)
 from loopfield.driver import (build_graph, winding_number, U1Backend, _pop_order,
+                              _bond_arrays, _label_cells, _wall_grid,
                               u1_expectation_discrete, u1_expectation_continuum,
                               u1_bruteforce_expectation, simple_loop_expectation,
                               area_derivative, continuum_product,
@@ -180,6 +181,76 @@ def test_pop_order_is_set_iteration_order(box):
                                          for i, j in cells]
 
 
+def _ndimage_cell_labels(grid):
+    from scipy import ndimage  # the reference only; loopfield never loads it
+    return ndimage.label(grid)[0][1::2, 1::2]
+
+
+def _random_subject(rng, hx, hy, kind, offset):
+    loop = random_loop(rng, hx, hy)
+    if kind == "pair":  # the second loop shifted by up to 4: bonds may be shared
+        dx, dy = offset
+        return LoopString((loop, make_loop(
+            [(x + dx, y + dy, d) for x, y, d in random_loop(rng, hx, hy).word])))
+    if kind == "nested":  # a rectangle around the loop, off its centre
+        lo, hi = 1 + abs(offset[0]), 1 + abs(offset[1])
+        x0 = min(x for x, _, _ in loop.word) - lo
+        y0 = min(y for _, y, _ in loop.word) - lo
+        w = max(x for x, _, _ in loop.word) + hi - x0
+        h = max(y for _, y, _ in loop.word) + hi - y0
+        frame = make_loop_from_moves((x0, y0), "R" * w + "U" * h + "L" * w + "D" * h)
+        return LoopString((frame, loop))
+    if kind == "doubled":
+        return make_loop(loop.word * 2)
+    return loop
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from(["loop", "pair", "nested", "doubled"]),
+       st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+def test_label_cells_matches_ndimage(seed, hx, hy, kind, offset):
+    # the run-merge labelling gives every cell of a loop's or string's box
+    # the label, and the dtype, of a raster-scan labelling of the grid
+    subject = _random_subject(np.random.default_rng(seed), hx, hy, kind, offset)
+    x, y, d = _bond_arrays(subject)
+    origin, wind = winding_number(subject)
+    grid = _wall_grid(x, y, d, origin, wind.shape)
+    ref = _ndimage_cell_labels(grid)
+    ids = _label_cells(grid)
+    assert ids.dtype == ref.dtype and ids.shape == ref.shape
+    assert np.array_equal(ids, ref)
+    assert np.array_equal(build_graph(subject).ids, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_label_cells_matches_ndimage_on_any_walls(nx, ny, p_open, seed):
+    # arbitrary open and closed walls, including mazes and spirals whose
+    # components are long paths of runs
+    grid = np.zeros((2 * nx + 1, 2 * ny + 1), dtype=bool)
+    grid[1::2, 1::2] = True
+    rng = np.random.default_rng(seed)
+    grid[1::2, 2:-1:2] = rng.random((nx, ny - 1)) < p_open
+    grid[2:-1:2, 1::2] = rng.random((nx - 1, ny)) < p_open
+    ref = _ndimage_cell_labels(grid)
+    ids = _label_cells(grid)
+    assert ids.dtype == ref.dtype and np.array_equal(ids, ref)
+
+
+def test_label_cells_on_a_serpentine():
+    # one face that snakes through every column: the runs join in a chain
+    nx, ny = 9, 7
+    grid = np.zeros((2 * nx + 1, 2 * ny + 1), dtype=bool)
+    grid[1::2, 1::2] = True
+    grid[1::2, 2:-1:2] = True
+    for i in range(nx - 1):
+        grid[2 * i + 2, 1 if i % 2 else 2 * ny - 1] = True
+    assert np.array_equal(_label_cells(grid), _ndimage_cell_labels(grid))
+    assert (_label_cells(grid) == 1).all()
+
+
 def test_euler_relation_all_families():
     for geo in (make_figure_eight(0.5, 0.5, 0.25), make_coil(0.5, 0.25),
                 make_limacon(0.5, 0.5, 0.25)):
@@ -333,3 +404,46 @@ def test_graph_dump_round_trip():
     assert set(payload) == {"faces", "areas", "windings", "boundaries"}
     assert sorted(payload["windings"]) == [-1, 1]
     assert payload["areas"] == [f.plaquettes for f in geo.graph.faces]
+
+
+def test_u1_memo_is_one_value_per_subject(monkeypatch):
+    # equal subjects built separately share one entry, which equals a fresh
+    # face product; the memo reaches build_graph and char_coefficient through
+    # the module's names, as a wrapper bound there would see them
+    import loopfield.driver as driver
+    calls = {"build_graph": 0, "char_coefficient": 0}
+
+    def counting(name):
+        original = getattr(driver, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(driver, name, counting(name))
+    driver._u1_value.cache_clear()
+    driver._u1_coefficient.cache_clear()
+    eps = 0.25
+    first, second = (make_figure_eight(0.5, 0.5, eps).subject for _ in range(2))
+    assert first is not second and first == second
+    value = U1Backend(eps).expectation(first)
+    assert calls == {"build_graph": 1, "char_coefficient": 1}
+    assert U1Backend(eps).expectation(second) == value
+    assert calls == {"build_graph": 1, "char_coefficient": 1}
+    assert value == U1Backend(eps).expectation_of_graph(build_graph(second))
+    info = driver._u1_value.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # another eps or tol is another value
+    assert U1Backend(eps / 2).expectation(first) != value
+    U1Backend(eps, tol=1e-11).expectation(first)
+    assert driver._u1_value.cache_info().currsize == 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["loop", "pair", "nested", "doubled"]))
+def test_u1_memo_equals_a_fresh_face_product(seed, kind):
+    subject = _random_subject(np.random.default_rng(seed), 3, 3, kind, (2, -1))
+    be = U1Backend(0.5)
+    assert be.expectation(subject) == be.expectation_of_graph(build_graph(subject))

@@ -121,16 +121,24 @@ def test_realized_geometry_in_json(tmp_path):
         assert g["areas"] == [p * g["epsilon"]**2 for p, _ in g["faces"]]
 
 
-def test_harness_import_leaves_ndimage_unloaded():
-    # build_graph imports scipy.ndimage itself; a top-level import would add
-    # its load time to every command-line call
+def test_harness_import_leaves_ndimage_unloaded(tmp_path):
+    # build_graph labels faces with NumPy alone; scipy.ndimage would add its
+    # load time to every command-line call and every exact experiment
     import loopfield
     src = os.path.dirname(os.path.dirname(loopfield.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, loopfield.harness; print('scipy.ndimage' in sys.modules)"
+    path = _write(tmp_path, "[experiment]\nname = verify-discrete\n"
+                            + _SMALL["verify-discrete"])
+    code = ("import sys\nimport loopfield.harness\n"
+            "print('scipy.ndimage' in sys.modules)\n"
+            "code = loopfield.harness.run_experiment("
+            f"{path!r}, out_dir={str(tmp_path)!r})\n"
+            "print(code, 'scipy.ndimage' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 False"
 
 
 def test_sample_diagnostics_leaves_scipy_stats_unloaded(tmp_path):
@@ -345,6 +353,7 @@ def test_every_report_carries_provenance(tmp_path, monkeypatch):
         payload = json.loads((tmp_path / name / "out.json").read_text())
         timings = payload["timings"]
         stages = timings.pop("stages_s", None)
+        eps_s = timings.pop("eps_s", None)
         assert set(timings) == {"load_config_s", "experiment_s"}
         assert all(t >= 0.0 for t in timings.values())
         assert timings["experiment_s"] == payload["runtime_seconds"]
@@ -355,6 +364,13 @@ def test_every_report_carries_provenance(tmp_path, monkeypatch):
             assert sum(stages.values()) <= timings["experiment_s"]
         else:
             assert stages is None
+        if name in ("converge-simple", "converge-crossing", "converge-merger"):
+            # the seconds of each eps row, in the order of the grid
+            assert len(eps_s) == len(load_config(path)[1]["grid"]["epsilons"])
+            assert all(t > 0.0 for t in eps_s)
+            assert sum(eps_s) <= timings["experiment_s"]
+        else:
+            assert eps_s is None
         prov = payload["provenance"]
         assert prov["config_sha256"] == hashlib.sha256(open(path, "rb").read()).hexdigest()
         assert (prov["loopfield"], prov["numpy"], prov["scipy"]) == (
