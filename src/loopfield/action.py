@@ -170,14 +170,6 @@ def _partition_function(params: ActionParams, tol: float) -> float:
                                           weight=params))
 
 
-def wilson_density(q: np.ndarray, params: ActionParams, z: float | None = None) -> float:
-    """Normalized Wilson action density at a group element."""
-    if z is None:
-        z = partition_function(params)
-    retr = float(np.trace(np.eye(params.spec.n) - q).real)
-    return math.exp(-action_exponent_scale(params) * retr) / z
-
-
 # ---------------------------------------------------------------------------
 # irreducible characters
 
@@ -341,13 +333,6 @@ class CharCoeffTable:
     def labels(self):
         return [r[0] for r in self.records]
 
-    def convolution_power(self, k: int) -> "CharCoeffTable":
-        """Coefficients of the k-fold convolution: a_tau -> a_tau^k."""
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        recs = [(lb, d, c, a**k) for lb, d, c, a in self.records]
-        return CharCoeffTable(self.spec, self.epsilon, recs)
-
     def validate(self, floor: float = 1e-13):
         """Invariants: a_trivial = 1, a in (0, 1], monotone in |casimir|.
 
@@ -371,46 +356,16 @@ class CharCoeffTable:
             if max(blocks[k1]) > min(blocks[k0]) + 1e-10:
                 raise AssertionError("coefficients not monotone in |casimir|")
 
-    def approx_constant(self) -> float:
-        """Smallest C with |a - exp(c eps^2 / 2)| <= C c^2 eps^4 on the table."""
-        worst = 0.0
-        for _, _, c, a in self.records:
-            if c == 0.0:
-                continue
-            gap = abs(a - math.exp(0.5 * c * self.epsilon**2))
-            worst = max(worst, gap / (c * c * self.epsilon**4))
-        return worst
-
     def save_text(self, path):
         with open(path, "w") as fh:
             fh.write(f"# loopfield char table {self.spec} eps={self.epsilon!r}\n")
             for lb, d, c, a in self.records:
                 fh.write(f"{_label_str(lb)} {d} {c!r} {a!r}\n")
 
-    @classmethod
-    def load_text(cls, path, spec: GroupSpec, epsilon: float):
-        recs = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                lab, d, c, a = line.split()
-                recs.append((_label_parse(spec, lab), int(d), float(c), float(a)))
-        return cls(spec, epsilon, recs)
-
-
 def _label_str(label):
     if isinstance(label, tuple):
         return ",".join(str(v) for v in label)
     return str(label)
-
-
-def _label_parse(spec: GroupSpec, text: str):
-    if spec == GroupSpec("U", 2):
-        a, b = text.split(",")
-        return (int(a), int(b))
-    return int(text)
 
 
 def build_char_table(params: ActionParams, max_casimir: float,

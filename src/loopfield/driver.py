@@ -20,11 +20,13 @@ up each column.  Each U(1) value is computed once per (eps, tol, subject)
 and each coefficient a_n(eps) once per (n, eps, tol), in bounded memos
 that every U1Backend shares.
 
-The module also provides the closed-form simple-loop expectations for all
-supported groups, analytic and finite-difference area derivatives, the
-crossing correction integrals, and the lattice geometry families
-(rectangle, figure-eight, coil, limacon, crossing squares) used by the
-convergence experiments.
+U1Backend is the exact measure of the sweeps in loopfield.equations: it
+holds both sides of each U(1) identity, the lattice expectations above and
+the continuum values, wedge area derivatives, crossing correction integrals
+I_m and splitting term, over the formulas continuum_product, area_derivative
+and correction_term_im.  The module also builds the lattice geometry
+families (rectangle, figure-eight, coil, limacon, crossing squares) that the
+convergence experiments sweep.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from loopfield.groups import GroupSpec
-from loopfield.action import (ActionParams, char_coefficient, standard_label,
-                              heat_kernel_eval, heat_kernel_theta_derivative_u1)
+from loopfield.action import ActionParams, char_coefficient
 from loopfield.loops import (DIRS, Loop, LoopString, as_string, bond_edge,
                              CrossingAnnotation, make_loop, walk_moves,
                              _canonical_rotation)
@@ -109,41 +110,6 @@ class PlanarLoopGraph:
 
     def face_of_cell(self, cell):
         return self.cell_to_face.get(tuple(cell))
-
-    @cached_property
-    def _edge_graph(self):
-        """(vertices, edges, components) of the occupied-edge graph."""
-        occ = _occupied_edges(self.subject)
-        adj = {}
-        for (base, axis) in occ:
-            a = base
-            b = (base[0] + 1, base[1]) if axis == "H" else (base[0], base[1] + 1)
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        seen = set()
-        ncomp = 0
-        for v in adj:
-            if v in seen:
-                continue
-            ncomp += 1
-            stack = [v]
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return len(adj), len(occ), ncomp
-
-    @property
-    def component_count(self) -> int:
-        return self._edge_graph[2]
-
-    def euler_characteristic(self) -> int:
-        # V - E + F with the unbounded faces (one per planar component group)
-        vertices, edges, _ = self._edge_graph
-        return vertices - edges + len(self.faces) + 1
 
     def boundaries(self):
         """Occupied undirected edges bordering each face, for fixture dumps."""
@@ -359,7 +325,15 @@ def _u1_value(obj, epsilon: float, tol: float) -> float:
 
 
 class U1Backend:
-    """Exact U(1) expectations at one lattice spacing via face products."""
+    """The exact U(1) measure at one lattice spacing.
+
+    Every U(1) value the exact sweeps use comes from here: the lattice
+    expectation of a loop or string by face products, and the continuum
+    side that the lattice values converge to, read off a crossing
+    geometry's faces at their lattice areas (plaquettes * eps^2): the
+    expectation, the wedge area derivatives, the correction terms I_m and
+    the splitting term.
+    """
 
     def __init__(self, epsilon: float, tol: float = 1e-12):
         self.params = ActionParams(GroupSpec("U", 1), epsilon)
@@ -376,10 +350,28 @@ class U1Backend:
     def expectation_of_graph(self, graph: PlanarLoopGraph) -> float:
         return _u1_product(graph.faces, self.epsilon, self.tol)
 
+    def continuum(self, faces) -> float:
+        """Continuum E W over (t, n) face data."""
+        return continuum_product(faces)
 
-def u1_expectation_discrete(obj, epsilon: float, backend: U1Backend | None = None) -> float:
-    be = backend if backend is not None else U1Backend(epsilon)
-    return be.expectation(obj)
+    def wedge_derivatives(self, geometry) -> dict:
+        """{m: d_m E W} over the four wedges of a crossing geometry; 0.0 where
+        the wedge belongs to the unbounded face (the planar convention)."""
+        faces = geometry.lattice_faces()
+        return {m: 0.0 if k is None else area_derivative(faces, k)
+                for m, k in geometry.wedge_face_indices().items()}
+
+    def correction_terms(self, geometry) -> dict:
+        """{m: I_m} over the four wedges of a crossing geometry."""
+        faces = geometry.lattice_faces()
+        wedges = geometry.wedge_face_indices()
+        return {m: correction_term_im(faces, m, wedges[m]) for m in (1, 2, 3, 4)}
+
+    def continuum_splitting(self, geometry) -> float:
+        """Continuum E W_{l1} W_{l2} of the splitting at the crossing.  In
+        U(1) the Wilson loop factorizes over the two sub-loops, so this is
+        E W_l of the whole loop."""
+        return self.continuum(geometry.lattice_faces())
 
 
 def continuum_product(faces) -> float:
@@ -397,37 +389,11 @@ def u1_expectation_continuum(obj, epsilon: float) -> float:
                               for f in graph.faces])
 
 
-def simple_loop_expectation(spec: GroupSpec, t: float, epsilon: float | None = None,
-                            tol: float = 1e-11) -> float:
-    """E W of a simple loop of area t: a_std^{t/eps^2} or exp(c_std t / 2)."""
-    if epsilon is None:
-        from loopfield.groups import casimir_standard
-        return math.exp(0.5 * casimir_standard(spec) * t)
-    k = t / epsilon**2
-    if abs(k - round(k)) > 1e-9:
-        raise DriverError("t/eps^2 must be an integer for the discrete value")
-    a = char_coefficient(standard_label(spec), ActionParams(spec, epsilon), tol=tol)
-    return a ** int(round(k))
-
-
-def area_derivative(faces, index: int, mode: str = "analytic") -> float:
-    """d/dt_index of the continuum product over (t, n) faces.
-
-    mode 'analytic' uses -n^2/2 * E; mode 'fd' central differences with
-    step 1e-4 * t_index (the independent check path).
-    """
+def area_derivative(faces, index: int) -> float:
+    """d/dt_index of the continuum product over (t, n) faces: -n^2/2 * E W."""
     faces = list(faces)
-    t, n = faces[index]
-    if mode == "analytic":
-        return -0.5 * n * n * continuum_product(faces)
-    if mode == "fd":
-        h = 1e-4 * t
-        up = list(faces)
-        dn = list(faces)
-        up[index] = (t + h, n)
-        dn[index] = (t - h, n)
-        return (continuum_product(up) - continuum_product(dn)) / (2.0 * h)
-    raise DriverError(f"unknown mode {mode!r}")
+    _, n = faces[index]
+    return -0.5 * n * n * continuum_product(faces)
 
 
 # ---------------------------------------------------------------------------
@@ -460,29 +426,6 @@ def correction_term_im(faces, m: int, wedge_face: int | None) -> float:
         else:
             val *= math.exp(-0.5 * n * n * t)
     return val
-
-
-def correction_term_im_bruteforce(faces, m: int, wedge_face: int | None,
-                                  grid: int = 48, tol: float = 1e-10) -> float:
-    """Multidimensional quadrature oracle for I_m (coarse, for validation)."""
-    if wedge_face is None:
-        return 0.0
-    faces = list(faces)
-    nf = len(faces)
-    if nf > 4:
-        raise DriverError("brute-force I_m limited to <= 4 bounded faces")
-    th = (np.arange(grid) + 0.5) * (2 * np.pi / grid)
-    grids = np.meshgrid(*([th] * nf), indexing="ij")
-    integrand = np.ones_like(grids[0], dtype=complex)
-    for idx, (t, n) in enumerate(faces):
-        integrand = integrand * np.exp(1j * n * grids[idx])
-        if idx == wedge_face:
-            integrand = integrand * heat_kernel_theta_derivative_u1(t, grids[idx], tol=tol)
-        else:
-            vals, _ = heat_kernel_eval(GroupSpec("U", 1), t, (grids[idx],), tol=tol)
-            integrand = integrand * vals
-    mean = complex(integrand.mean())
-    return CROSSING_SIGNS[m] * float((1j * mean).real)
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +468,6 @@ class CrossingGeometry:
         ann = self.annotation
         return {"e": ann.e_first[0], "e_": ann.e_second[0], "e1": ann.e1[0],
                 "e2": ann.e2[0], "e3": ann.e3[0], "e4": ann.e4[0]}
-
-    def wedge_derivatives(self) -> dict:
-        """{m: analytic d_m E W} over the four wedges; 0.0 where the wedge
-        belongs to the unbounded face."""
-        faces = self.lattice_faces()
-        return {m: 0.0 if k is None else area_derivative(faces, k, "analytic")
-                for m, k in self.wedge_face_indices().items()}
 
     def realized(self) -> dict:
         """The shape built at this eps: [plaquettes, winding] of each bounded
@@ -809,39 +745,3 @@ def make_crossing_squares(side: float, overlap: float, epsilon: float) -> Crossi
         limit_faces=[(area - olap, 1), (olap, 2), (area - olap, 1)],
         extra={"side_eps": s * epsilon, "overlap_eps": k * epsilon},
     )
-
-
-# ---------------------------------------------------------------------------
-# brute-force Driver evaluation (oracle for the product formula)
-
-
-def u1_bruteforce_expectation(obj, epsilon: float, grid: int = 96,
-                              tol: float = 1e-10) -> float:
-    """Direct evaluation of the discrete Driver integral for U(1).
-
-    Integrates the per-face k-fold Wilson actions against the loop phase
-    over independent face variables (the axial-gauge reduction), on an
-    outer-product grid.  Exponential-cost oracle for graphs with <= 4
-    bounded faces.
-    """
-    from loopfield.action import build_char_table_adaptive, wilson_kfold_eval
-    graph = build_graph(obj)
-    nf = len(graph.faces)
-    if nf == 0:
-        return 1.0
-    if nf > 4:
-        raise DriverError("brute force limited to <= 4 bounded faces")
-    params = ActionParams(GroupSpec("U", 1), epsilon)
-    kmin = min(f.plaquettes for f in graph.faces)
-    table = build_char_table_adaptive(params, k_min=kmin, tol=tol)
-    th = (np.arange(grid) + 0.5) * (2 * np.pi / grid)
-    grids = np.meshgrid(*([th] * nf), indexing="ij")
-    integrand = np.ones_like(grids[0], dtype=complex)
-    for idx, f in enumerate(graph.faces):
-        sk = wilson_kfold_eval(table, f.plaquettes, (grids[idx].ravel(),), tol=tol)
-        integrand = integrand * sk.reshape(grids[idx].shape)
-        integrand = integrand * np.exp(1j * f.winding * grids[idx])
-    mean = complex(integrand.mean())
-    if abs(mean.imag) > 1e-8:
-        raise DriverError(f"brute-force value not real: {mean}")
-    return mean.real

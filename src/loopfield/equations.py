@@ -14,10 +14,17 @@ constants (b = 1 for SO, else 2; g = 1 for SU else 0) and k counts 1 plus
 the other occurrences of the bond or its inverse.  For U(N) this reduces
 to the plain single-location equation (tw = 0, g = 0, c0 = 1).
 
-Backends: exact per-face products for U(1); shared-randomness Monte Carlo
-for the other groups (all terms estimated on one sample stream).  The
-stream is `sample_iid`'s exact axial-gauge draws for U(1), SU(2) and SO(3),
-and a Metropolis chain (`run_chain`) for the other groups.
+Backends: the exact U(1) measure, `driver.U1Backend`, and shared-randomness
+Monte Carlo for the other groups (all terms estimated on one sample
+stream).  The stream is `sample_iid`'s exact axial-gauge draws for U(1),
+SU(2) and SO(3), and a Metropolis chain (`run_chain`) for the other groups.
+
+The exact sweeps (convergence_crossing, crossing_im_sweep,
+degenerate_checks) build one measure per eps and take every U(1) value
+from its methods: lattice expectations on one side of each identity, and
+on the other the continuum expectation, wedge area derivatives, correction
+terms I_m and splitting term.  The group's coefficients come from
+EquationSpec.
 """
 
 from __future__ import annotations
@@ -34,9 +41,8 @@ from loopfield.action import (ActionParams, char_coefficient, standard_label,
 from loopfield.loops import (LoopString, as_string, bond_inverse,
                              string_deformation_sets, string_split, string_merge,
                              string_twist, expansion_sets, compatible_triples)
-from loopfield.driver import (U1Backend, correction_term_im, continuum_product,
-                              CrossingGeometry, make_figure_eight, make_coil,
-                              make_limacon, make_crossing_squares)
+from loopfield.driver import (U1Backend, CrossingGeometry, make_figure_eight,
+                              make_coil, make_limacon, make_crossing_squares)
 from loopfield.sampler import (IID_GROUPS, MCSchedule, run_chain, sample_iid,
                                make_estimate, Estimate)
 
@@ -256,9 +262,8 @@ def deformation_value(subject, site, backend: U1Backend) -> float:
     return tot / (2.0 * backend.epsilon**2)
 
 
-def alternating_area_derivative(geometry: CrossingGeometry) -> float:
-    """(d1 - d2 + d3 - d4) E W from the geometry's own continuum data."""
-    d = geometry.wedge_derivatives()
+def alternating_area_derivative(d) -> float:
+    """(d1 - d2 + d3 - d4) E W from the wedge derivatives {m: d_m E W}."""
     return d[1] - d[2] + d[3] - d[4]
 
 
@@ -361,10 +366,10 @@ def convergence_crossing(eps_list,
     for eps in eps_list:
         t0 = time.perf_counter()
         geometry = geometry_at(eps)
-        backend = U1Backend(eps)
-        target = alternating_area_derivative(geometry)
-        ew = backend.expectation_of_graph(geometry.graph)
-        dvals = crossing_deformation_data(geometry, backend)
+        measure = U1Backend(eps)
+        target = alternating_area_derivative(measure.wedge_derivatives(geometry))
+        ew = measure.expectation_of_graph(geometry.graph)
+        dvals = crossing_deformation_data(geometry, measure)
 
         triples = compatible_triples(geometry.annotation)
         if max_triples is not None:
@@ -373,7 +378,7 @@ def convergence_crossing(eps_list,
 
         def dval(site):
             if site not in dcache:
-                dcache[site] = deformation_value(geometry.subject, site, backend)
+                dcache[site] = deformation_value(geometry.subject, site, measure)
             return dcache[site]
 
         triple_values = []
@@ -382,9 +387,9 @@ def convergence_crossing(eps_list,
             triple_values.append(val)
         combos = []
         for bcoef, acoef in extra_combos:
-            combos.append(combination_value(geometry, backend, bcoef, acoef, dvals))
+            combos.append(combination_value(geometry, measure, bcoef, acoef, dvals))
         # exactness: the triple combination equals the splitting term value
-        split_val = _splitting_value(geometry, backend)
+        split_val = _splitting_value(geometry, measure)
         rows.append({
             "epsilon": eps,
             "target": target,
@@ -402,15 +407,17 @@ def convergence_crossing(eps_list,
     return {"family": geometry.kind, "rows": rows}
 
 
-def _splitting_value(geometry: CrossingGeometry, backend: U1Backend) -> float:
-    """E W of the positive splitting at the crossing (the two sub-loops)."""
+def _splitting_value(geometry: CrossingGeometry, measure: U1Backend) -> float:
+    """E W of the positive splitting at the crossing (the two sub-loops), or
+    across two components the merger term with its weight 1/N^2."""
     comp, loc = geometry.sites["e"]
     s = as_string(geometry.subject)
     e, (c2, y) = _second_occurrence(s, (comp, loc))
     if c2 == comp:
-        return backend.expectation(string_split(s, comp, e, loc, y, positive=True))
-    # cross-component occurrence: the merger term (coefficient 1/N^2 = 1 here)
-    return backend.expectation(string_merge(s, comp, c2, e, loc, y, positive=True))
+        return measure.expectation(string_split(s, comp, e, loc, y, positive=True))
+    spec = EquationSpec(measure.params.spec, measure.epsilon, s, (comp, loc))
+    merged = string_merge(s, comp, c2, e, loc, y, positive=True)
+    return spec.coefficients["merger"] * measure.expectation(merged)
 
 
 def _crossing_family(family: str, epsilon: float, t2: float, t4: float):
@@ -439,19 +446,16 @@ def crossing_im_sweep(eps_list, family: str = "coil", t4: float = 0.5,
     for eps in eps_list:
         t0 = time.perf_counter()
         geometry = _crossing_family(family, eps, t2, t4)
-        backend = U1Backend(eps)
-        faces = geometry.lattice_faces()
-        wedges = geometry.wedge_face_indices()
-        ew = continuum_product(faces)
-        ims = {m: correction_term_im(faces, m, wedges[m]) for m in (1, 2, 3, 4)}
-        d_m = geometry.wedge_derivatives()
-        alt = d_m[1] - d_m[2] + d_m[3] - d_m[4]
-        limit_e = 2.0 * alt + ims[1] + ims[3]
+        measure = U1Backend(eps)
+        ew = measure.continuum(geometry.lattice_faces())
+        ims = measure.correction_terms(geometry)
+        d_m = measure.wedge_derivatives(geometry)
+        limit_e = 2.0 * alternating_area_derivative(d_m) + ims[1] + ims[3]
         limit_e1 = 2.0 * (d_m[1] - d_m[4]) + 2.0 * ims[1]
         limit_e3 = 2.0 * (d_m[3] - d_m[2]) + 2.0 * ims[3]
-        dvals = {k: deformation_value(geometry.subject, geometry.sites[k], backend)
+        dvals = {k: deformation_value(geometry.subject, geometry.sites[k], measure)
                  for k in ("e", "e1", "e3")}
-        split_cont = ew  # E W_{l1} W_{l2} = E W_l for U(1)
+        split_cont = measure.continuum_splitting(geometry)
         rows.append({
             "epsilon": eps,
             "gap_e": abs(dvals["e"] - limit_e),
@@ -485,26 +489,29 @@ def degenerate_checks(epsilon: float = 0.25):
     three-face (limacon):    (2 d_s - d_2 - d_4) E W = E W_{l1} W_{l2}
     unbounded-face (coil):   (2 d_s - d_bounded) E W = E W_{l1} W_{l2},
                              with the unbounded wedge derivative = 0.
-    Both reduce to the alternating-sum identity with d_1 = d_3 = d_s.
+    Both reduce to the alternating-sum identity with d_1 = d_3 = d_s.  The
+    coil's unbounded_derivative is the measure's d_m at its unbounded wedge
+    (the largest in magnitude if there are several; nan if there is none).
     """
+    measure = U1Backend(epsilon)
     out = {}
     for kind in ("limacon", "coil"):
         geometry = _crossing_family(kind, epsilon, 0.5, 0.5)
         faces = geometry.lattice_faces()
         wedges = geometry.wedge_face_indices()
-        ew = continuum_product(faces)
-        split_cont = ew  # U(1): W factorizes over the two sub-loops
+        ew = measure.continuum(faces)
+        split_cont = measure.continuum_splitting(geometry)
         assert wedges[1] is not None and wedges[1] == wedges[3], \
             "north/south wedges must share the s-face"
-        d = geometry.wedge_derivatives()
+        d = measure.wedge_derivatives(geometry)
         lhs = 2.0 * d[1] - d[2] - d[4]
-        alt = alternating_area_derivative(geometry)
+        alt = alternating_area_derivative(d)
         # p_s = p_{t1} * p_{t3}: splitting the s-face leaves the product fixed
         t_s, n_s = faces[wedges[1]]
         split_faces = list(faces)
         split_faces[wedges[1]] = (0.3 * t_s, n_s)
         split_faces.append((0.7 * t_s, n_s))
-        surgery_gap = abs(continuum_product(split_faces) - ew)
+        surgery_gap = abs(measure.continuum(split_faces) - ew)
         entry = {
             "identity_gap": abs(lhs - split_cont),
             "reduces_to_alternating": abs(lhs - alt),
@@ -514,7 +521,8 @@ def degenerate_checks(epsilon: float = 0.25):
         }
         if kind == "coil":
             unbounded = [m for m in (2, 4) if wedges[m] is None]
-            entry["unbounded_derivative"] = 0.0 if unbounded else float("nan")
+            entry["unbounded_derivative"] = max((d[m] for m in unbounded), key=abs,
+                                                default=float("nan"))
             entry["unbounded_wedges"] = unbounded
         out[kind] = entry
     return out
@@ -534,6 +542,10 @@ def unified_equation_reports(spec: GroupSpec, epsilon: float,
     and the comparison of the deformation combination against the continuum
     right-hand side (splitting - twist - gamma terms), whose own estimate is
     estimates["rhs"] and whose (n_meas, n_chains) series is rhs_series.
+    That comparison, wlg_gap, is an exact lattice identity at this eps:
+    with exact values the gap is at rounding level (below 1e-13 at eps 1/2
+    to 1/32), so it checks the sampler against the identity, not the limit
+    eps -> 0.
     """
     geometry = make_figure_eight(t2, t4, epsilon)
     sites = {f"at_{k}": geometry.sites[k] for k in ("e", "e1", "e3")}
@@ -559,9 +571,11 @@ def unified_equation_reports(spec: GroupSpec, epsilon: float,
                for key in sites}
     combo = make_estimate(_weighted(combo_terms, series))
 
-    # deformation-combination vs the continuum RHS of the limit equation
-    tw = (2.0 - spec.beta_g) / (spec.beta_g * spec.n)
-    gam = spec.gamma_g / spec.n**2
+    # deformation-combination vs the continuum RHS of the limit equation,
+    # with the coefficients that assemble uses
+    coefficients = EquationSpec(spec, epsilon, s, sites["at_e"]).coefficients
+    tw = coefficients["twist"]
+    gam = spec.gamma_g * coefficients["merger"]
     dcomb_series = _weighted([t for t in combo_terms if "deform" in t.tag], series)
     rhs_series = (series(split) - tw * series(twist) - gam * series(s))
     gap = make_estimate(dcomb_series - rhs_series)

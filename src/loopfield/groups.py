@@ -1,7 +1,7 @@
 """Compact matrix group backends: U(N), SU(N), SO(N).
 
 Provides Haar sampling, orthonormal Lie-algebra frames, the exponential
-map, polar projection, directional derivatives and Casimir data.  This
+map, polar projection and Casimir data.  This
 module is the one home of the group-element operations: `haar_sample`,
 `exp_map`, `exp_coords`, `project_to_group` and `inverse` act on stacks of
 matrices, arrays of shape (..., N, N), and give each element of a stack the
@@ -27,9 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-GROUP_TOL = 1e-12
-
 
 class GroupError(ValueError):
     pass
@@ -107,27 +104,10 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return np.conj(a).swapaxes(-1, -2)
 
 
-def trace_normalized(a: np.ndarray):
-    n = a.shape[-1]
-    return np.trace(a, axis1=-2, axis2=-1) / n
-
-
 def adjoint_deviation(q: np.ndarray) -> float:
     """Max-norm of Q Q^* - I (and |det Q - 1| for SU/SO is checked separately)."""
     n = q.shape[-1]
     return float(np.max(np.abs(q @ inverse(q) - np.eye(n))))
-
-
-def is_in_group(q: np.ndarray, spec: GroupSpec, tol: float = GROUP_TOL) -> bool:
-    """Whether every element of q, of shape (..., N, N), lies in the group."""
-    if adjoint_deviation(q) > tol:
-        return False
-    if spec.family in ("SU", "SO"):
-        if np.max(np.abs(np.linalg.det(q) - 1.0)) > tol:
-            return False
-    if spec.is_real and np.iscomplexobj(q) and np.max(np.abs(q.imag)) > tol:
-        return False
-    return True
 
 
 def _to_special(q: np.ndarray, spec: GroupSpec) -> np.ndarray:
@@ -316,33 +296,6 @@ def haar_sample(spec: GroupSpec, rng: np.random.Generator, size=()) -> np.ndarra
     return _to_special(q * phases[..., None, :], spec)
 
 
-def gaussian_lie_sample(spec: GroupSpec, rng: np.random.Generator, sigma: float = 1.0) -> np.ndarray:
-    """Coordinates of a Gaussian Lie-algebra vector, i.i.d. normal(0, sigma^2)."""
-    if sigma <= 0:
-        raise GroupError("sigma must be positive")
-    return sigma * rng.standard_normal(spec.dim_lie)
-
-
-def directional_derivative(f, x_mat: np.ndarray, a: np.ndarray, h: float = 1e-5,
-                           richardson: bool = False):
-    """Central-difference d/dt f(exp(t X) a) at t = 0, O(h^2) error.
-
-    With richardson=True combines steps h and h/2 for O(h^4).
-    """
-    spec_free_exp = scipy.linalg.expm
-
-    def central(step):
-        ep = spec_free_exp(step * x_mat)
-        em = spec_free_exp(-step * x_mat)
-        return (f(ep @ a) - f(em @ a)) / (2.0 * step)
-
-    d1 = central(h)
-    if not richardson:
-        return d1
-    d2 = central(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
-
-
 def casimir_standard(spec: GroupSpec) -> float:
     """Casimir constant of the standard representation: sum_j L_j^2 = c I."""
     basis = lie_basis(spec)
@@ -354,12 +307,3 @@ def casimir_standard(spec: GroupSpec) -> float:
     if off > 1e-10:
         raise GroupError(f"Casimir sum not scalar (off-diagonal {off:.2e})")
     return float(c.real)
-
-
-def casimir_standard_expected(spec: GroupSpec) -> float:
-    """Closed-form Casimir of the standard representation for cross-checking."""
-    if spec.family == "U":
-        return -1.0
-    if spec.family == "SU":
-        return -1.0 + 1.0 / spec.n**2
-    return -1.0 + 1.0 / spec.n

@@ -170,14 +170,6 @@ def loop_to_text(l: Loop) -> str:
     return f"({x},{y}):{moves}"
 
 
-def loop_from_text(text: str) -> Loop:
-    head, _, moves = text.partition(":")
-    base = tuple(int(v) for v in head.strip("()").split(","))
-    if not moves:
-        return TRIVIAL_LOOP
-    return make_loop_from_moves(base, moves)
-
-
 def occurrences(l: Loop, b: Bond):
     return [i for i, w in enumerate(l.word) if w == tuple(b)]
 

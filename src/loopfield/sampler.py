@@ -106,11 +106,6 @@ class LatticeBox:
     def n_bonds(self):
         return self.width * (self.height + 1) + (self.width + 1) * self.height
 
-    @property
-    def n_plaquettes(self):
-        return self.width * self.height
-
-
 @dataclass
 class MCSchedule:
     sweeps: int = 2000
@@ -127,10 +122,6 @@ class Estimate:
     sigma_naive: float
     n_samples: int
     tau_int: float
-
-    def compatible_with(self, value: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.mean - value) <= n_sigma * max(self.sigma, 1e-300)
-
 
 class LatticeConfiguration:
     """Link variables on a box, batched over chains.
@@ -206,18 +197,6 @@ def plaquette_product(cfg: LatticeConfiguration):
     c = inverse(u0[:, :, 1:])
     d = inverse(u1[:, :w, :])
     return a @ b @ c @ d
-
-
-def total_action(cfg: LatticeConfiguration):
-    """Exponent sum (beta_g N / 2 eps^2) sum_p Re Tr(I - Q_p), per chain."""
-    scale = action_exponent_scale(cfg.params)
-    n = cfg.spec.n
-    qp = plaquette_product(cfg)
-    if cfg.is_u1:
-        retr = 1.0 - np.cos(qp)
-    else:
-        retr = n - np.trace(qp, axis1=-2, axis2=-1).real
-    return scale * retr.sum(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

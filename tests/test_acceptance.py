@@ -164,7 +164,8 @@ def test_criterion_8_monte_carlo_statistical_suite(tmp_path):
 def test_criterion_9_unified_group_consistency(tmp_path):
     code, dt = _run_config("converge-unified.cfg", tmp_path)
     _report(9, "unified-group combination vs continuum RHS within 3 sigma "
-               "(statistical acceptance)",
+               "(statistical acceptance of an exact lattice identity at each "
+               "eps, not of eps -> 0)",
             code == EXIT_OK and dt < 900.0, f"exit {code}, {dt:.1f}s")
 
 

@@ -8,15 +8,16 @@ from loopfield.groups import GroupSpec
 from loopfield.loops import (DIRS, Loop, make_loop, make_loop_from_moves,
                              plaquette_loop, LoopString, as_string, bond_inverse,
                              occurrences, random_loop)
+from loopfield.action import ActionParams, char_coefficient
 from loopfield.driver import (build_graph, winding_number, U1Backend, _pop_order,
                               _bond_arrays, _label_cells, _wall_grid,
-                              u1_expectation_discrete, u1_expectation_continuum,
-                              u1_bruteforce_expectation, simple_loop_expectation,
-                              area_derivative, continuum_product,
-                              correction_term_im, correction_term_im_bruteforce,
+                              u1_expectation_continuum, area_derivative,
+                              correction_term_im,
                               make_rectangle, make_figure_eight, make_coil,
                               make_limacon, make_crossing_squares,
                               DriverError)
+from oracles import (area_derivative_fd, correction_term_im_bruteforce,
+                     edge_graph, euler_characteristic, u1_bruteforce_expectation)
 
 
 def test_plaquette_graph():
@@ -24,7 +25,7 @@ def test_plaquette_graph():
     assert len(g.faces) == 1
     assert g.faces[0].plaquettes == 1
     assert g.faces[0].winding == 1  # canonical plaquettes are counterclockwise
-    assert g.euler_characteristic() == 2
+    assert euler_characteristic(g) == 2
 
 
 def test_doubled_loop_windings_double():
@@ -255,8 +256,8 @@ def test_euler_relation_all_families():
     for geo in (make_figure_eight(0.5, 0.5, 0.25), make_coil(0.5, 0.25),
                 make_limacon(0.5, 0.5, 0.25)):
         g = geo.graph
-        assert g.euler_characteristic() == 2
-        assert g.component_count == 1
+        assert euler_characteristic(g) == 2
+        assert edge_graph(g.subject)[2] == 1
 
 
 def test_product_formula_vs_bruteforce():
@@ -264,14 +265,14 @@ def test_product_formula_vs_bruteforce():
     for subject in (make_rectangle(0.5, eps)[0],
                     make_figure_eight(0.5, 0.5, eps).subject,
                     make_coil(0.5, eps).subject):
-        product = u1_expectation_discrete(subject, eps)
+        product = U1Backend(eps).expectation(subject)
         brute = u1_bruteforce_expectation(subject, eps, grid=96)
         assert abs(product - brute) < 1e-8
 
 
 def test_trivial_loop_expectations():
     from loopfield.loops import TRIVIAL_LOOP
-    assert u1_expectation_discrete(TRIVIAL_LOOP, 0.5) == 1.0
+    assert U1Backend(0.5).expectation(TRIVIAL_LOOP) == 1.0
     assert u1_expectation_continuum(TRIVIAL_LOOP, 0.5) == 1.0
 
 
@@ -288,18 +289,14 @@ def test_edge_subdivision_invariance():
 
 
 def test_simple_loop_expectation_values():
-    # continuum: exp(c_std t / 2)
-    assert simple_loop_expectation(GroupSpec("U", 1), 1.0) == pytest.approx(math.exp(-0.5))
-    assert simple_loop_expectation(GroupSpec("U", 2), 1.0) == pytest.approx(math.exp(-0.5))
-    assert simple_loop_expectation(GroupSpec("SU", 2), 1.0) == pytest.approx(math.exp(-3.0 / 8.0))
-    assert simple_loop_expectation(GroupSpec("SO", 3), 1.0) == pytest.approx(math.exp(-1.0 / 3.0))
-    # discrete: a_std^{t/eps^2}, cross-checked against the product formula
+    # a simple loop of area t = T eps^2: a_1^T on the lattice, exp(-t/2) in
+    # the continuum
     eps = 0.25
     loop, t = make_rectangle(1.0, eps)
-    assert simple_loop_expectation(GroupSpec("U", 1), t, eps) == pytest.approx(
-        u1_expectation_discrete(loop, eps), abs=1e-12)
-    with pytest.raises(DriverError):
-        simple_loop_expectation(GroupSpec("U", 1), 1.0, 0.3)
+    a1 = char_coefficient(1, ActionParams(GroupSpec("U", 1), eps))
+    assert U1Backend(eps).expectation(loop) == pytest.approx(
+        a1 ** round(t / eps**2), abs=1e-12)
+    assert u1_expectation_continuum(loop, eps) == pytest.approx(math.exp(-0.5 * t))
 
 
 def test_discrete_to_continuum_convergence():
@@ -307,7 +304,7 @@ def test_discrete_to_continuum_convergence():
     gaps = []
     for eps in (0.4, 0.2, 0.1, 0.05):
         loop, t = make_rectangle(0.8, eps)
-        gaps.append(abs(u1_expectation_discrete(loop, eps)
+        gaps.append(abs(U1Backend(eps).expectation(loop)
                         - math.exp(-0.5 * t)))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
@@ -315,11 +312,11 @@ def test_discrete_to_continuum_convergence():
 def test_area_derivative_analytic_vs_fd():
     faces = [(0.7, 1), (0.4, -2), (1.1, 1)]
     for i in range(3):
-        a = area_derivative(faces, i, "analytic")
-        f = area_derivative(faces, i, "fd")
+        a = area_derivative(faces, i)
+        f = area_derivative_fd(faces, i)
         assert abs(a - f) < 1e-6
     # simple loop: d/dt e^{-t/2} = -e^{-t/2}/2
-    assert area_derivative([(1.0, 1)], 0, "analytic") == pytest.approx(-0.5 * math.exp(-0.5))
+    assert area_derivative([(1.0, 1)], 0) == pytest.approx(-0.5 * math.exp(-0.5))
 
 
 def test_figure_eight_continuum_value():

@@ -6,7 +6,7 @@ import pytest
 from loopfield.groups import GroupSpec
 from loopfield.action import ActionParams
 from loopfield.loops import random_loop
-from loopfield.driver import (U1Backend, area_derivative, make_figure_eight,
+from loopfield.driver import (U1Backend, make_figure_eight,
                               make_figure_eight_reversed, make_rectangle,
                               make_coil, make_limacon, make_crossing_squares)
 from loopfield.equations import (EquationSpec, assemble, evaluate_exact_u1,
@@ -20,6 +20,7 @@ from loopfield.equations import (EquationSpec, assemble, evaluate_exact_u1,
                                  finite_difference_alternating)
 from loopfield import equations
 from loopfield.sampler import LatticeBox, MCSchedule, make_estimate, sample_iid
+from oracles import area_derivative_fd
 
 U1 = GroupSpec("U", 1)
 
@@ -219,13 +220,13 @@ def test_wedge_derivatives_match_finite_differences(geo):
     # absolute bound: the limacon's wedge 4 has winding 0, so d_4 = 0
     faces = geo.lattice_faces()
     wedges = geo.wedge_face_indices()
-    derivs = geo.wedge_derivatives()
+    derivs = U1Backend(geo.epsilon).wedge_derivatives(geo)
     assert set(derivs) == {1, 2, 3, 4}
     for m, k in wedges.items():
         if k is None:
             assert derivs[m] == 0.0
         else:
-            assert abs(derivs[m] - area_derivative(faces, k, "fd")) < 1e-8
+            assert abs(derivs[m] - area_derivative_fd(faces, k)) < 1e-8
 
 
 def test_degenerate_checks_all_pass():
@@ -237,10 +238,100 @@ def test_degenerate_checks_all_pass():
     assert out["coil"]["unbounded_derivative"] == 0.0
 
 
+class _RecordingMeasure:
+    """A stand-in for U1Backend with the same methods: it records each call
+    and returns fixed floats, so that every number of a sweep run on it
+    comes from the measure."""
+
+    LATTICE, CONTINUUM, SPLIT = 0.5, 0.25, 0.125
+    WEDGES = {1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4}
+    I_M = {1: 0.01, 2: 0.02, 3: 0.03, 4: 0.04}
+
+    def __init__(self, calls, epsilon):
+        self.calls = calls
+        self.calls.append("__init__")
+        self.params = ActionParams(U1, epsilon)
+        self.epsilon = epsilon
+
+    def expectation(self, obj):
+        self.calls.append("expectation")
+        return self.LATTICE
+
+    def expectation_of_graph(self, graph):
+        self.calls.append("expectation_of_graph")
+        return self.LATTICE
+
+    def continuum(self, faces):
+        self.calls.append("continuum")
+        return self.CONTINUUM
+
+    def wedge_derivatives(self, geometry):
+        self.calls.append("wedge_derivatives")
+        return dict(self.WEDGES)
+
+    def correction_terms(self, geometry):
+        self.calls.append("correction_terms")
+        return dict(self.I_M)
+
+    def continuum_splitting(self, geometry):
+        self.calls.append("continuum_splitting")
+        return self.SPLIT
+
+
+def test_exact_sweeps_take_every_u1_value_from_the_measure(monkeypatch):
+    from loopfield import driver
+
+    def formula(*args, **kwargs):
+        raise AssertionError("a U(1) formula was called outside the measure")
+
+    for name in ("continuum_product", "area_derivative", "correction_term_im",
+                 "_u1_value", "_u1_product", "char_coefficient"):
+        monkeypatch.setattr(driver, name, formula)
+    calls = []
+    monkeypatch.setattr(equations, "U1Backend",
+                        lambda eps: _RecordingMeasure(calls, eps))
+    m = _RecordingMeasure
+    d, i_m = m.WEDGES, m.I_M
+    alt = d[1] - d[2] + d[3] - d[4]
+    eps_list = (0.25, 0.125)
+
+    rows = convergence_crossing(eps_list, max_triples=1)["rows"]
+    rows += convergence_merger(eps_list)["rows"]
+    assert calls.count("__init__") == 2 * len(eps_list)  # one measure per eps
+    for row in rows:
+        assert row["target"] == alt
+        assert row["E_W"] == m.LATTICE
+        assert row["split_term"] == m.LATTICE  # merger weight 1/N^2 = 1
+
+    calls.clear()
+    for row in crossing_im_sweep(eps_list)["rows"]:
+        limit_e = 2.0 * alt + i_m[1] + i_m[3]
+        assert row["identity_loop1"] == abs(limit_e - m.SPLIT - m.CONTINUUM)
+        assert row["identity_g2"] == abs(2.0 * (d[1] - d[4]) + 2.0 * i_m[1]
+                                         - m.CONTINUUM)
+        assert row["I"] == i_m
+    assert calls.count("__init__") == len(eps_list)
+
+    calls.clear()
+    out = degenerate_checks(0.25)
+    assert calls.count("__init__") == 1
+    for entry in out.values():
+        assert entry["identity_gap"] == abs(2.0 * d[1] - d[2] - d[4] - m.SPLIT)
+        assert entry["E_W"] == m.CONTINUUM and entry["surgery_gap"] == 0.0
+    # the coil's unbounded wedge is F2: the clause reads the measure's d_2
+    assert out["coil"]["unbounded_wedges"] == [2]
+    assert out["coil"]["unbounded_derivative"] == d[2]
+
+    interface = {name for name in vars(U1Backend) if not name.startswith("_")}
+    assert set(calls) - {"__init__"} <= interface
+    for name in ("continuum_product", "correction_term_im", "area_derivative"):
+        assert not hasattr(equations, name), name
+
+
 def test_alternating_area_derivative_signs():
     geo = make_figure_eight(0.5, 0.5, 0.25)
     # n2 = +1 (west), n4 = -1 (east): (d1-d2+d3-d4) E = E
-    val = alternating_area_derivative(geo)
+    val = alternating_area_derivative(U1Backend(0.25).wedge_derivatives(geo))
     ew = math.exp(-0.5)
     assert val == pytest.approx(ew, rel=1e-12)
 
@@ -317,11 +408,12 @@ def test_orientation_variant_sign_flip_same_limit():
         assert abs(rep.residual) < 1e-12
         dvals = crossing_deformation_data(geo, backend)
         comb = dvals["e"] - 0.5 * dvals["e1"] - 0.5 * dvals["e3"]
-        target = alternating_area_derivative(geo)
+        target = alternating_area_derivative(backend.wedge_derivatives(geo))
         gaps.append(abs(comb - target))
         # same magnitude of limit as the standard orientation
         std = make_figure_eight(0.5, 0.5, eps)
-        assert target == pytest.approx(-alternating_area_derivative(std))
+        assert target == pytest.approx(
+            -alternating_area_derivative(backend.wedge_derivatives(std)))
     assert gaps[0] > gaps[1]
 
 

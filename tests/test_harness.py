@@ -210,10 +210,11 @@ def test_fixture_generation(tmp_path):
         with open(os.path.join(FIXTURE_DIR, name), "rb") as golden:
             assert (tmp_path / name).read_bytes() == golden.read(), name
     # char table round-trips through the documented text format bit-exactly
-    from loopfield.action import CharCoeffTable, build_char_table, ActionParams
+    from loopfield.action import build_char_table, ActionParams
     from loopfield.groups import GroupSpec
-    loaded = CharCoeffTable.load_text(tmp_path / "char_table_u1_eps0.5.txt",
-                                      GroupSpec("U", 1), 0.5)
+    from oracles import load_char_table
+    loaded = load_char_table(tmp_path / "char_table_u1_eps0.5.txt",
+                             GroupSpec("U", 1), 0.5)
     rebuilt = build_char_table(ActionParams(GroupSpec("U", 1), 0.5),
                                max_casimir=64.0)
     assert loaded.records == rebuilt.records

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopfield.loops import (Loop, LoopError, TRIVIAL_LOOP, bond_inverse,
                              make_loop, make_loop_from_moves, loop_to_text,
-                             loop_from_text, plaquette_loop, plaquette_word,
+                             plaquette_loop, plaquette_word,
                              incident_cells, occurrences, split_positive,
                              split_negative, merge_positive, merge_negative,
                              twist_positive, twist_negative, deformation_sets,
@@ -12,6 +12,7 @@ from loopfield.loops import (Loop, LoopError, TRIVIAL_LOOP, bond_inverse,
                              string_merge, random_loop, compatible_triples,
                              _canonical_rotation)
 from loopfield.driver import make_figure_eight
+from oracles import loop_from_text
 
 
 def test_make_loop_erases_backtracking():
