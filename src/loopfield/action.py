@@ -58,10 +58,18 @@ def _require_ladder(spec: GroupSpec):
 
 
 def _grids(spec: GroupSpec, m: int):
-    """Uniform half-offset angle grid(s) of m points per circle."""
+    """Uniform half-offset angle grid(s) of m points per circle.
+
+    U(2) gets its two angles as broadcast axes, shapes (m, 1) and (1, m):
+    a function of one angle runs on m points, and the m x m grid appears
+    only where the two angles meet.  Each grid point then sees the same
+    floating-point operations as on a full meshgrid, so the values keep
+    their bits.  An integrand must not write into an angle-shaped array:
+    its result has the broadcast shape, not the shape of either angle.
+    """
     th = (np.arange(m) + 0.5) * (2 * np.pi / m)
     if spec == GroupSpec("U", 2):
-        return np.meshgrid(th, th, indexing="ij")
+        return th[:, None], th[None, :]
     return (th,)
 
 
@@ -82,8 +90,9 @@ def weyl_weight(spec: GroupSpec, angles):
 # integrates many functions on the same grids: the angles and the Weyl
 # weight per (group, m), the Boltzmann weight per (params, m).  The
 # integrals at one eps reach at most four grid sizes, and the next eps
-# needs new Boltzmann weights, so four of those are kept.  A U(2) grid of
-# m = 512 holds 2 MB per array.
+# needs new Boltzmann weights, so four of those are kept.  The U(2) angles
+# are two m-vectors; its Weyl and Boltzmann weights are m x m, 2 MB each
+# at m = 512.
 
 
 def _read_only(*arrays):
@@ -94,7 +103,7 @@ def _read_only(*arrays):
 @functools.lru_cache(maxsize=16)
 def _quadrature_grid(spec: GroupSpec, m: int):
     """(angles, Weyl weight) on the grid of m points per circle."""
-    angles = tuple(_grids(spec, m))
+    angles = _grids(spec, m)
     weyl = weyl_weight(spec, angles)
     _read_only(*angles, weyl)
     return angles, weyl
@@ -233,17 +242,17 @@ def character_values(spec: GroupSpec, label, angles):
         l1, l2 = label
         t1, t2 = angles
         m = l1 - l2
-        # exponentials and product in place, since on a quadrature grid the
-        # cached 2-D angles and weights stay in memory meanwhile
         acc = np.zeros(np.broadcast(t1, t2).shape, dtype=complex)
         for i in range(m + 1):
-            acc += _exp_in_place(1j * (i * t1 + (m - i) * t2))
-        return np.multiply(_exp_in_place(1j * l2 * (t1 + t2)), acc, out=acc)
+            # i t1 + (m - i) t2, on one axis where a coefficient vanishes:
+            # on the positive angles of a quadrature grid 0 * t is +0, and
+            # +0 + x is x
+            arg = m * t2 if i == 0 else m * t1 if i == m else i * t1 + (m - i) * t2
+            acc += np.exp(1j * arg)
+        if l2 == 0:
+            return acc  # the factor exp(0j) is 1
+        return np.multiply(np.exp(1j * l2 * (t1 + t2)), acc, out=acc)
     raise NotImplementedError
-
-
-def _exp_in_place(z):
-    return np.exp(z, out=z)
 
 
 def gen_labels(spec: GroupSpec):

@@ -307,12 +307,7 @@ def trace_power_integral(spec: GroupSpec, params: ActionParams, power: int,
         if spec == GroupSpec("SO", 3):
             return 1.0 + 2.0 * np.cos(power * angles[0])
         if spec == GroupSpec("U", 2):
-            # the exponentials in place: the quadrature's cached 2-D grids
-            # stay in memory meanwhile
-            out, z = (1j * power * a for a in angles)
-            np.exp(out, out=out)
-            out += np.exp(z, out=z)
-            return out
+            return np.exp(1j * power * angles[0]) + np.exp(1j * power * angles[1])
         raise NotImplementedError
 
     z = partition_function(params, tol=tol)
@@ -325,8 +320,9 @@ def convergence_simple(spec: GroupSpec, t: float, eps_list, tol: float = 1e-11):
 
     All four deformed expectations reduce to single-variable quadratures:
     inner- = a^{T-1}, outer- = a^{T+1}, inner+ = a^{T-1} q2,
-    outer+ = a^T q1 with q_m = (1/N) int Tr(Q^m) S^eps dQ.  Each row
-    carries the seconds it took.
+    outer+ = a^T q1 with q_m = (1/N) int Tr(Q^m) S^eps dQ.  q1 is a itself,
+    to the bit, so only q2 needs its own quadrature.  Each row carries the
+    seconds it took.
     """
     c_std = casimir_standard(spec)
     target = -c_std * math.exp(0.5 * c_std * t)
@@ -336,7 +332,7 @@ def convergence_simple(spec: GroupSpec, t: float, eps_list, tol: float = 1e-11):
         params = ActionParams(spec, eps)
         bigt = int(round(t / eps**2))
         a = char_coefficient(standard_label(spec), params, tol=tol)
-        q1 = trace_power_integral(spec, params, 1, tol=tol)
+        q1 = a  # S^eps is invariant under Q -> Q^-1, and d_std = N
         q2 = trace_power_integral(spec, params, 2, tol=tol)
         e_in_minus = a ** (bigt - 1)
         e_out_minus = a ** (bigt + 1)

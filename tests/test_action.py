@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings, strategies as st
 
 from loopfield.groups import GroupSpec
 from loopfield.action import (ActionParams, partition_function,
@@ -301,14 +302,24 @@ def _weight_caches():
             action._partition_function)
 
 
+def _meshgrid(spec, m):
+    """The half-offset grid of m points per circle, U(2)'s as two full m x m
+    arrays, built here so that the oracle does not share action's axes."""
+    th = (np.arange(m) + 0.5) * (2 * np.pi / m)
+    if spec == U2:
+        return np.meshgrid(th, th, indexing="ij")
+    return (th,)
+
+
 def _fresh_integral(spec, fn, tol=1e-11):
-    """integrate_class_function as it was before the weight caches: new grids
-    and weights at every level, the Boltzmann weight inside the integrand."""
+    """integrate_class_function as it was before the weight caches: new
+    meshgrids and weights at every level, the Boltzmann weight inside the
+    integrand."""
     import loopfield.action as action
     m = 64 if spec == U2 else 256
     prev = None
     while True:
-        angles = action._grids(spec, m)
+        angles = _meshgrid(spec, m)
         vals = np.mean(action.weyl_weight(spec, angles) * fn(*angles))
         if prev is not None and abs(vals - prev) <= tol * max(1.0, abs(vals)):
             return vals
@@ -353,6 +364,54 @@ def test_cached_quadrature_gives_the_cold_floats(spec):
     warm = values()
     assert warm == cold
     assert _weight_caches()[1].cache_info().hits > 0
+
+
+def _u2_character_on_meshgrid(label, t1, t2):
+    """chi_(l1, l2) with every exponential taken over the full grid."""
+    l1, l2 = label
+    m = l1 - l2
+    acc = np.zeros(t1.shape, dtype=complex)
+    for i in range(m + 1):
+        acc += np.exp(1j * (i * t1 + (m - i) * t2))
+    return np.exp(1j * l2 * (t1 + t2)) * acc
+
+
+# the two integrands of the gauss-lemma experiment (harness.run_gauss_lemma)
+GAUSS_LEMMA_INTEGRANDS = (
+    lambda t1, t2: 2.0 - np.cos(t1) - np.cos(t2),
+    lambda t1, t2: 1.0 - np.abs(np.exp(1j*t1) + np.exp(1j*t2))**2 / 4.0)
+
+
+def _same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3),
+       st.floats(0.05, 0.6))
+def test_u2_axes_match_the_meshgrid_oracle(la, lb, power, eps):
+    # every U(2) integral on the broadcast axes against full meshgrids
+    from loopfield.equations import trace_power_integral
+    label = (max(la, lb), min(la, lb))
+    params = ActionParams(U2, eps)
+
+    def boltzmann(t1, t2):
+        return unnormalized_weight(params, (t1, t2))
+
+    z = _fresh_integral(U2, boltzmann)
+    assert _same_bits(partition_function(params), z)
+    chi = integrate_class_function(
+        U2, lambda *a: np.conj(character_values(U2, label, a)), weight=params)
+    assert _same_bits(chi, _fresh_integral(U2, lambda t1, t2: np.conj(
+        _u2_character_on_meshgrid(label, t1, t2)) * boltzmann(t1, t2)))
+    tr_power = _fresh_integral(U2, lambda t1, t2: (
+        np.exp(1j * power * t1) + np.exp(1j * power * t2)) * boltzmann(t1, t2))
+    assert _same_bits(trace_power_integral(U2, params, power),
+                      float(np.real(tr_power / z)) / 2)
+    for f in GAUSS_LEMMA_INTEGRANDS:
+        assert _same_bits(
+            integrate_class_function(U2, f, weight=params),
+            _fresh_integral(U2, lambda t1, t2: f(t1, t2) * boltzmann(t1, t2)))
 
 
 def test_every_cache_is_bounded():

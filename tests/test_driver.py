@@ -164,6 +164,25 @@ def test_build_graph_matches_flood_fill(seed, hx, hy, kind, offset):
                                   for c in cells}
 
 
+@pytest.mark.parametrize("layout", ["row", "grid"])
+def test_build_graph_matches_flood_fill_on_many_faces(layout):
+    # 24 disjoint plaquettes, some reversed and some doubled, so that the
+    # face order is checked over many labels
+    corners = ([(2 * k, 0) for k in range(24)] if layout == "row"
+               else [(3 * (k % 6) - 7, 2 * (k // 6) + 1) for k in range(24)])
+    loops = []
+    for k, corner in enumerate(corners):
+        p = plaquette_loop(corner)
+        p = _reversed(p) if k % 3 == 1 else make_loop(p.word * 2) if k % 3 == 2 else p
+        loops.append(p)
+    subject = LoopString(loops)
+    expected = _flood_fill_faces(subject)
+    graph = build_graph(subject)
+    assert len(expected) == 24
+    assert [(f.cells, f.winding, f.plaquettes) for f in graph.faces] == \
+        [(cells, n, len(cells)) for cells, n in expected]
+
+
 def test_build_graph_unbounded_winding_error():
     # an open path, up then right: the unbounded face's first cell winds once
     path = Loop(((0, 0, 1), (0, 1, 0)))

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopfield.groups import GroupSpec
-from loopfield.action import ActionParams
+from loopfield.action import ActionParams, char_coefficient, standard_label
 from loopfield.loops import random_loop
 from loopfield.driver import (U1Backend, make_figure_eight,
                               make_figure_eight_reversed, make_rectangle,
@@ -124,6 +125,18 @@ def test_trace_power_integral_u1():
     beta = 4.0
     assert trace_power_integral(U1, params, 2) == pytest.approx(
         sp.iv(2, beta) / sp.i0(beta), abs=1e-11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("U", 1), ("SU", 2), ("U", 2), ("SO", 3)]),
+       st.floats(0.03, 1.2))
+def test_first_trace_power_is_the_standard_coefficient(group, eps):
+    # S^eps is a class function invariant under Q -> Q^-1 and d_std = N, so
+    # q1 = a_std; convergence_simple relies on the equality holding to the bit
+    spec = GroupSpec(*group)
+    params = ActionParams(spec, eps)
+    assert trace_power_integral(spec, params, 1) == \
+        char_coefficient(standard_label(spec), params)
 
 
 def test_convergence_simple_u1_and_u2():
