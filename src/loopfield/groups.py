@@ -10,6 +10,13 @@ same bits as a call on that element alone.  The Lie-algebra inner product is
 (beta_g = 2) reduces to N * Tr(X Y^*).  All frames built here are
 orthonormal with respect to that inner product.
 
+`exp_map` is a closed form for every group the experiments use: one 2x2
+formula for U(2), SU(2) and SO(2), and Rodrigues' formula for SO(3).  Only
+its fallback for the other N >= 3 groups (U(3), SU(3), SO(N >= 4)) calls
+scipy.linalg.expm, and it imports scipy.linalg there, on first use: at
+module level that import would be about half of the set-up time of every
+run.
+
 SU(2) elements also have a pair form.  In Cayley-Klein form
 U = [[a, b], [-b*, a*]], so the planes a = U[..., 0, 0] and b = U[..., 0, 1]
 fix a stack (`su2_pair`), and products, inverses, traces and exponentials
@@ -26,7 +33,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+
 
 class GroupError(ValueError):
     pass
@@ -194,20 +201,35 @@ def lie_vector_matrix(spec: GroupSpec, coords: np.ndarray) -> np.ndarray:
 def exp_map(spec: GroupSpec, a: np.ndarray) -> np.ndarray:
     """Matrix exponential of Lie-algebra elements, a stack of shape (..., N, N).
 
-    Closed forms for SU(2) (a = i v.sigma) and SO(3) (Rodrigues); the
-    clamp on theta^2 keeps sin(theta)/theta finite at a = 0.
+    N = 2 (U(2), SU(2), SO(2)):
+    exp(A) = e^m (cos(theta) I + sin(theta)/theta (A - m I)) with
+    m = tr A / 2 and theta^2 = |A - m I|_F^2 / 2, since A - m I is traceless
+    and skew-Hermitian, so its square is -theta^2 I (Moler and Van Loan,
+    SIAM Review 45, 2003).  SU(2) and SO(2) skip the trace step, their
+    algebras being traceless, so SU(2) keeps the bits of its own closed form.
+    SO(3) uses Rodrigues' formula.  The clamp on theta^2 keeps
+    sin(theta)/theta finite at A = m I.  The other N >= 3 groups fall back
+    to scipy.linalg.expm, imported on first use (see the module docstring).
     """
     a = np.asarray(a)
     if spec.n == 1:
         return np.exp(a)
-    if spec == GroupSpec("SU", 2):
-        sq = np.einsum("...ij,...ij->...", a, np.conj(a)).real
+    if spec.n == 2:
+        traceless = spec.family != "U"
+        if traceless:
+            b = a
+        else:
+            m = 0.5 * (a[..., 0, 0] + a[..., 1, 1])[..., None, None]
+            b = a - m * np.eye(2)
+        sq = np.einsum("...ij,...ij->...", b, np.conj(b)).real
         th = np.sqrt(np.maximum(0.5 * sq, 1e-300))[..., None, None]
-        return np.cos(th) * np.eye(2) + np.sin(th) / th * a
+        out = np.cos(th) * np.eye(2) + np.sin(th) / th * b
+        return out if traceless else np.exp(m) * out
     if spec == GroupSpec("SO", 3):
         sq = np.einsum("...ij,...ij->...", a, a)
         th = np.sqrt(np.maximum(0.5 * sq, 1e-300))[..., None, None]
         return np.eye(3) + np.sin(th) / th * a + (1.0 - np.cos(th)) / th**2 * (a @ a)
+    import scipy.linalg
     return scipy.linalg.expm(a)
 
 

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import configparser
 import csv
+import hashlib
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; here the set-up pays it
+import scipy  # the version in each report's provenance; no submodule
 
 from loopfield.groups import GroupSpec, haar_sample, parse_group
 from loopfield.action import (ActionParams, char_coefficient, build_char_table,
@@ -856,13 +860,7 @@ def _provenance(config_path, cfg):
     """The JSON `provenance` of one run: package, Python, numpy and scipy
     versions, the sha256 of the config file, the [mc] and [random] seeds
     (None where the experiment has none) and the thread variables (None
-    where unset).  Imports here, not at module level, keep them out of the
-    import time of the harness."""
-    import hashlib
-    import sys
-
-    import scipy
-
+    where unset)."""
     import loopfield
     with open(config_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()

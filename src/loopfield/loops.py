@@ -52,27 +52,44 @@ def bond_edge(b: Bond):
 
 
 def _check_word(word):
+    """Raise LoopError unless each bond of a nonempty word ends where the next
+    one (cyclically) starts.  bond_end is inlined: make_loop runs this on
+    every word."""
     if not word:
         raise LoopError("empty word")
+    dirs = DIRS
     for a, b in zip(word, word[1:]):
-        if bond_end(a) != bond_start(b):
+        dx, dy = dirs[a[2]]
+        if a[0] + dx != b[0] or a[1] + dy != b[1]:
             raise LoopError(f"word not adjacent at {a} -> {b}")
-    if bond_end(word[-1]) != bond_start(word[0]):
+    a, b = word[-1], word[0]
+    dx, dy = dirs[a[2]]
+    if a[0] + dx != b[0] or a[1] + dy != b[1]:
         raise LoopError("word not closed")
 
 
 def _erase_backtracking(word):
-    """Cyclic reduction: remove e e^-1 pairs to fixpoint."""
+    """Cyclic reduction of a closed word: remove e e^-1 pairs to fixpoint.
+
+    The word must be adjacent and closed, as _check_word ensures.  The stack
+    then holds a path that ends where the next bond starts, so that bond is
+    the inverse of the top exactly when their directions are opposite; and
+    the reduced word stays closed, so its last bond is the inverse of its
+    first exactly when their directions are opposite.  Comparing directions
+    alone spares a bond_inverse per bond, and the cyclic ends are trimmed in
+    pairs by two indices.
+    """
     stack = []
     for b in word:
-        if stack and b == bond_inverse(stack[-1]):
+        if stack and b[2] == (stack[-1][2] + 2) % 4:
             stack.pop()
         else:
             stack.append(b)
-    while len(stack) >= 2 and stack[-1] == bond_inverse(stack[0]):
-        stack.pop()
-        stack.pop(0)
-    return stack
+    lo, hi = 0, len(stack)
+    while hi - lo >= 2 and stack[hi - 1][2] == (stack[lo][2] + 2) % 4:
+        lo += 1
+        hi -= 1
+    return stack[lo:hi]
 
 
 def _canonical_rotation(word):

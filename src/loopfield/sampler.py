@@ -70,6 +70,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads these on first attribute access; importing them here keeps
+# their load in the set-up of a run rather than in its first chain
+import numpy.fft
+import numpy.random
 
 from loopfield.groups import (GroupSpec, adjoint_deviation, exp_coords,
                               haar_sample, inverse, project_to_group, su2_exp_pair,

@@ -17,7 +17,8 @@ from loopfield.action import (ActionParams, CharCoeffTable, action_exponent_scal
 from loopfield.driver import (CROSSING_SIGNS, build_graph, continuum_product,
                               _occupied_edges)
 from loopfield.groups import GroupSpec, GroupError, adjoint_deviation
-from loopfield.loops import TRIVIAL_LOOP, Loop, make_loop_from_moves
+from loopfield.loops import (TRIVIAL_LOOP, Loop, LoopError, bond_end, bond_inverse,
+                             bond_start, make_loop_from_moves)
 from loopfield.sampler import plaquette_product
 
 U1 = GroupSpec("U", 1)
@@ -120,6 +121,35 @@ def euler_characteristic(graph) -> int:
     """V - E + F of a planar loop graph, counting the one unbounded face."""
     vertices, edges, _ = edge_graph(graph.subject)
     return vertices - edges + len(graph.faces) + 1
+
+
+# ---------------------------------------------------------------------------
+# loops
+
+
+def check_word_reference(word):
+    """loops._check_word written with bond_start and bond_end."""
+    if not word:
+        raise LoopError("empty word")
+    for a, b in zip(word, word[1:]):
+        if bond_end(a) != bond_start(b):
+            raise LoopError(f"word not adjacent at {a} -> {b}")
+    if bond_end(word[-1]) != bond_start(word[0]):
+        raise LoopError("word not closed")
+
+
+def erase_backtracking_reference(word):
+    """loops._erase_backtracking written with bond_inverse and list.pop(0)."""
+    stack = []
+    for b in word:
+        if stack and b == bond_inverse(stack[-1]):
+            stack.pop()
+        else:
+            stack.append(b)
+    while len(stack) >= 2 and stack[-1] == bond_inverse(stack[0]):
+        stack.pop()
+        stack.pop(0)
+    return stack
 
 
 # ---------------------------------------------------------------------------

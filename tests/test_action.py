@@ -282,6 +282,17 @@ def test_laplacian_at_identity_su2():
     assert abs(val - (-0.75)) < 1e-6
 
 
+@pytest.mark.parametrize("name, f_matrix, exact, before", [
+    ("retrace", lambda q: float(np.trace(np.eye(2) - q).real), 2.0, 2.0000002246926365),
+    ("trace-square", lambda q: float(1.0 - abs(np.trace(q))**2 / 4.0), 1.5,
+     1.5000001833224512)])
+def test_laplacian_at_identity_u2_no_farther_from_exact(name, f_matrix, exact, before):
+    # gauss-lemma's two U(2) Laplacians; `before` is the value computed with
+    # scipy.linalg.expm in place of the 2x2 closed form
+    val = laplacian_at_identity(U2, f_matrix)
+    assert abs(val - exact) <= abs(before - exact), name
+
+
 def test_character_values_dimensions():
     zero = (np.array([0.0]),)
     assert character_values(SU2, 3, zero)[0] == pytest.approx(4.0)

@@ -99,6 +99,45 @@ def test_exp_map(spec):
     assert np.max(np.abs(exp_coords(spec, 0 * coords) - identity(spec))) < 1e-14
 
 
+@pytest.mark.parametrize("spec", [GroupSpec("U", 2), GroupSpec("SO", 2)], ids=str)
+@pytest.mark.parametrize("width", [1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0, 10.0])
+def test_exp_map_2x2_closed_form_matches_expm(spec, width):
+    # the 2x2 closed form against scipy's Pade exponential, to within
+    # 1e-15 max(1, |A|_F) at every element of the stack.  The reference runs
+    # on complex matrices: at width 10 scipy's real path is up to 1.3e-14
+    # |A|_F off the exact SO(2) rotation, and its complex path is not.
+    import scipy.linalg
+    rng = np.random.default_rng(12)
+    a = lie_vector_matrix(spec, rng.uniform(-width, width, (400, spec.dim_lie)))
+    got = exp_map(spec, a)
+    assert got.dtype == spec.dtype and got.shape == a.shape
+    want = scipy.linalg.expm(a.astype(complex))
+    err = np.max(np.abs(got - want), axis=(-2, -1))
+    bound = 1e-15 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    assert np.all(err <= bound), np.max(err / bound)
+
+
+def _exp_su2_so3_reference(spec, a):
+    """exp_map's SU(2) and SO(3) closed forms as first written."""
+    if spec == GroupSpec("SU", 2):
+        sq = np.einsum("...ij,...ij->...", a, np.conj(a)).real
+        th = np.sqrt(np.maximum(0.5 * sq, 1e-300))[..., None, None]
+        return np.cos(th) * np.eye(2) + np.sin(th) / th * a
+    sq = np.einsum("...ij,...ij->...", a, a)
+    th = np.sqrt(np.maximum(0.5 * sq, 1e-300))[..., None, None]
+    return np.eye(3) + np.sin(th) / th * a + (1.0 - np.cos(th)) / th**2 * (a @ a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GroupSpec("SU", 2), GroupSpec("SO", 3)]),
+       st.lists(st.integers(1, 3), max_size=3),
+       st.sampled_from([0.0, 1e-9, 0.8, 4.0]), st.integers(0, 2**32 - 1))
+def test_exp_map_keeps_su2_and_so3_bits(spec, shape, width, seed):
+    rng = np.random.default_rng(seed)
+    a = lie_vector_matrix(spec, rng.normal(0.0, 1.0, tuple(shape) + (spec.dim_lie,)) * width)
+    assert exp_map(spec, a).tobytes() == _exp_su2_so3_reference(spec, a).tobytes()
+
+
 def test_exp_map_u1_angle_normalization():
     # <L1, L1> = 1 fixes the U(1) frame; exp(theta L1) is the phase theta
     spec = GroupSpec("U", 1)

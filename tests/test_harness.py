@@ -141,6 +141,33 @@ def test_harness_import_leaves_ndimage_unloaded(tmp_path):
     assert lines[-1] == "0 False"
 
 
+def test_scipy_submodules_load_only_where_a_run_needs_them(tmp_path):
+    # exp_map has closed forms for every group the experiments use, so no
+    # run loads scipy.linalg, which would be about half of the harness's
+    # import time; scipy.special is loaded by sample-diagnostics' p-values
+    # alone, and scipy.stats by nothing
+    import loopfield
+    src = os.path.dirname(os.path.dirname(loopfield.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    paths = [_write(tmp_path, f"[experiment]\nname = {name}\n" + _SMALL[name],
+                    name=f"{name}.cfg")
+             for name in ("gauss-lemma", "verify-discrete", "sample-diagnostics")]
+    code = ("import sys\nimport loopfield.harness\n"
+            "def loaded():\n"
+            "    print(*(m in sys.modules for m in "
+            "('scipy.linalg', 'scipy.special', 'scipy.stats')))\n"
+            "loaded()\n"
+            f"for path in {paths!r}:\n"
+            f"    loopfield.harness.run_experiment(path, out_dir={str(tmp_path)!r})\n"
+            "    loaded()\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    lines = [line for line in out.stdout.splitlines()
+             if line.startswith(("True", "False"))]
+    assert lines == ["False False False", "False False False", "False False False",
+                     "False True False"]
+
+
 def test_sample_diagnostics_leaves_scipy_stats_unloaded(tmp_path):
     # the chain-statistics p-values come from scipy.special; scipy.stats
     # would add its hundreds of modules to every run

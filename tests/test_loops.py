@@ -10,9 +10,10 @@ from loopfield.loops import (Loop, LoopError, TRIVIAL_LOOP, bond_inverse,
                              twist_positive, twist_negative, deformation_sets,
                              expansion_sets, LoopString, string_split,
                              string_merge, random_loop, compatible_triples,
-                             _canonical_rotation)
+                             walk_moves, _canonical_rotation, _check_word,
+                             _erase_backtracking)
 from loopfield.driver import make_figure_eight
-from oracles import loop_from_text
+from oracles import check_word_reference, erase_backtracking_reference, loop_from_text
 
 
 def test_make_loop_erases_backtracking():
@@ -87,6 +88,53 @@ def test_canonical_rotation_matches_full_scan(period, repeats, tail):
         if word:
             assert _canonical_rotation(word) == _scan_rotation(word)
             assert _canonical_rotation(list(word)) == _scan_rotation(list(word))
+
+
+def _reduced(check, erase, word):
+    """("error", message) if check rejects the word, else ("word", erased)."""
+    try:
+        check(word)
+    except LoopError as exc:
+        return "error", str(exc)
+    return "word", erase(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.text("RULD", max_size=4),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from(("closed", "unclosed", "non-adjacent", "empty")))
+def test_check_and_erase_match_the_bond_helper_oracles(nx, ny, spur, seed, kind):
+    # closed words are shuffled balanced moves with a spur walked out and
+    # back at some point (backtracking, and cyclic ends that cancel); the
+    # other kinds drop the last bond, move one bond off the path, or are
+    # empty, and must fail with the reference's message
+    rng = np.random.default_rng(seed)
+    moves = list("R" * nx + "L" * nx + "U" * ny + "D" * ny)
+    rng.shuffle(moves)
+    back = "".join("LDRU"["RULD".index(c)] for c in reversed(spur))
+    at = int(rng.integers(len(moves) + 1))
+    moves[at:at] = list(spur + back)
+    base = tuple(int(v) for v in rng.integers(-3, 4, 2))
+    word, end = walk_moves(base, "".join(moves))
+    assert end == base
+    if kind == "empty":
+        word = []
+    elif kind == "unclosed" and word:
+        word = word[:-1]
+    elif kind == "non-adjacent" and word:
+        i = int(rng.integers(len(word)))
+        x, y, d = word[i]
+        word[i] = (x + 1, y + int(rng.integers(-1, 2)), d)
+    got = _reduced(_check_word, _erase_backtracking, word)
+    assert got == _reduced(check_word_reference, erase_backtracking_reference, word)
+    if got[0] == "error":
+        with pytest.raises(LoopError) as exc:
+            make_loop(word)
+        assert str(exc.value) == got[1]
+    elif got[1]:
+        assert make_loop(word) == Loop(_canonical_rotation(got[1])[0])
+    else:
+        assert make_loop(word, allow_trivial=True) is TRIVIAL_LOOP
 
 
 def _figure_eight_parts():
