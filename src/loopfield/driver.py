@@ -1,32 +1,34 @@
-"""Exact Wilson-loop expectations on the plane via per-face factorization.
+"""Exact Wilson-loop expectations on the plane for U(1).
 
-For abelian G = U(1) the expectation of a loop (or string) factorizes over
-the bounded faces of its planar graph: after an axial gauge the face
-holonomies are independent, each distributed by the k-fold convolved
-Wilson action (lattice) or the heat kernel (continuum), and only the
-winding number of the loop around each face enters:
+After an axial gauge the plaquette holonomies of U(1) are independent, each
+distributed by the Wilson action (lattice) or the heat kernel (continuum),
+so the expectation of a loop (or string) depends only on the winding number
+of the loop around each unit cell:
 
-    E W  =  prod_F a_{n_F}(eps)^{t_F / eps^2}      (lattice)
-    E W  =  prod_F exp(-n_F^2 t_F / 2)             (continuum)
+    E W  =  prod_{n >= 1} a_n(eps)^{count_n}   (lattice)
+    E W  =  prod_F exp(-n_F^2 t_F / 2)         (continuum)
 
-Faces are the connected components of the unit cells of the loop's
-bounding box, with the occupied edges as walls, labelled in NumPy on a
-doubled grid of cells and walls: runs of cells up each column, merged
-across open walls by min-label propagation (_label_cells).  Winding
-numbers form one integer field over the cells: the winding around the cell
-(i, j) is the signed count of the horizontal bonds in column i at heights
-y <= j (+1 for a bond going right, -1 for one going left), a running sum
-up each column.  Each U(1) value is computed once per (eps, tol, subject)
-and each coefficient a_n(eps) once per (n, eps, tol), in bounded memos
-that every U1Backend shares.
+with count_n the number of cells of winding +-n, multiplied in ascending n,
+and F the bounded faces, of winding n_F and area t_F.  Winding numbers form
+one integer field over the cells of the loop's bounding box: the winding
+around the cell (i, j) is the signed count of the horizontal bonds in column
+i at heights y <= j (+1 for a bond going right, -1 for one going left), a
+running sum up each column.  Each coefficient a_n(eps) is computed once per
+(n, eps, tol), in a bounded memo that every U1Backend shares.
+
+Faces, for the continuum side and the wedges of a crossing, are the
+connected components of the unit cells of the bounding box, with the
+occupied edges as walls, labelled in NumPy on a doubled grid of cells and
+walls: runs of cells up each column, merged across open walls by min-label
+propagation (_label_cells).
 
 U1Backend is the exact measure of the sweeps in loopfield.equations: it
-holds both sides of each U(1) identity, the lattice expectations above and
-the continuum values, wedge area derivatives, crossing correction integrals
-I_m and splitting term, over the formulas continuum_product, area_derivative
-and correction_term_im.  The module also builds the lattice geometry
-families (rectangle, figure-eight, coil, limacon, crossing squares) that the
-convergence experiments sweep.
+holds both sides of each U(1) identity, the lattice expectations above,
+read off the winding field alone, and the continuum values, wedge area
+derivatives, crossing correction integrals I_m and splitting term, over the
+formulas continuum_product, area_derivative and correction_term_im.  The
+module also builds the lattice geometry families (rectangle, figure-eight,
+coil, limacon, crossing squares) that the convergence experiments sweep.
 """
 
 from __future__ import annotations
@@ -187,13 +189,15 @@ def _pop_order(x0, y0, nx, ny):
     the box (i' = i - x0, j' = j - y0).
 
     The faces of build_graph come in the order in which a flood fill would
-    pop its seeds from that set, and the face order is the order of the
-    factors in _u1_product, so it fixes the last bits of every exact
-    value.  That order is CPython's: tuple hashing and the slot
-    order of a set filled in row order, which set.pop walks from the front
-    and which no later removal reorders.  Another interpreter may give
-    other bits.  The cache holds every distinct box of one exact-sweep
-    benchmark pass (87 boxes, 265 KB in all, the largest 83 KB).
+    pop its seeds from that set.  The face order is the order of the faces
+    in the fixture dump and of the factors of the continuum products over a
+    geometry's faces, so it fixes those bytes and the last bits of those
+    values; no lattice value depends on it.  That order is CPython's: tuple
+    hashing and the slot order of a set filled in row order, which set.pop
+    walks from the front and which no later removal reorders.  Another
+    interpreter may give other bits.  The cache holds every distinct box of
+    one exact-sweep benchmark pass (16 boxes, 208 KB in all, the largest
+    83 KB).
     """
     cells = set(itertools.product(range(x0, x0 + nx), range(y0, y0 + ny)))
     ij = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int32,
@@ -301,43 +305,22 @@ def build_graph(obj) -> PlanarLoopGraph:
 # abelian expectations
 
 
-# The exact U(1) values are memoized per (eps, tol): one coefficient per
-# winding |n| and one product per subject, shared by every U1Backend.  Both
-# caches call build_graph and char_coefficient through this module's
-# globals, so a wrapper bound to those names sees every call.  The value
-# memo holds its subjects; 512 covers the repeats of a sweep of the
-# committed configs, whose exact experiments evaluate about 600 subjects.
-
-
 @lru_cache(maxsize=256)
 def _u1_coefficient(n: int, epsilon: float, tol: float) -> float:
-    """a_n(eps) of U(1) for n >= 1."""
+    """a_n(eps) of U(1) for n >= 1, once per (n, eps, tol) for every
+    U1Backend; char_coefficient is reached through this module's name."""
     return char_coefficient(n, ActionParams(GroupSpec("U", 1), epsilon), tol=tol)
-
-
-def _u1_product(faces, epsilon: float, tol: float) -> float:
-    """prod_F a_{n_F}(eps)^{plaquettes_F}, in face order."""
-    val = 1.0
-    for f in faces:
-        n = abs(int(f.winding))
-        val *= (_u1_coefficient(n, epsilon, tol) if n else 1.0) ** f.plaquettes
-    return val
-
-
-@lru_cache(maxsize=512)
-def _u1_value(obj, epsilon: float, tol: float) -> float:
-    return _u1_product(build_graph(obj).faces, epsilon, tol)
 
 
 class U1Backend:
     """The exact U(1) measure at one lattice spacing.
 
     Every U(1) value the exact sweeps use comes from here: the lattice
-    expectation of a loop or string by face products, and the continuum
-    side that the lattice values converge to, read off a crossing
-    geometry's faces at their lattice areas (plaquettes * eps^2): the
-    expectation, the wedge area derivatives, the correction terms I_m and
-    the splitting term.
+    expectation of a loop or string from the cell counts of its winding
+    field, and the continuum side that the lattice values converge to,
+    read off a crossing geometry's faces at their lattice areas
+    (plaquettes * eps^2): the expectation, the wedge area derivatives, the
+    correction terms I_m and the splitting term.
     """
 
     def __init__(self, epsilon: float, tol: float = 1e-12):
@@ -349,11 +332,18 @@ class U1Backend:
         return self.params.epsilon
 
     def expectation(self, obj) -> float:
-        """E W for a loop or string, exactly (up to quadrature certification)."""
-        return _u1_value(obj, self.epsilon, self.tol)
-
-    def expectation_of_graph(self, graph: PlanarLoopGraph) -> float:
-        return _u1_product(graph.faces, self.epsilon, self.tol)
+        """E W for a loop or string, exactly (up to quadrature certification):
+        prod_n a_n(eps)^{count_n} over the counts of the cells with winding
+        |n| >= 1, multiplied in ascending n."""
+        if all(l.is_trivial for l in as_string(obj)):
+            return 1.0
+        _, wind = winding_number(obj)
+        counts = np.bincount(np.abs(wind).ravel()).tolist()
+        val = 1.0
+        for n in range(1, len(counts)):
+            if counts[n]:
+                val *= _u1_coefficient(n, self.epsilon, self.tol) ** counts[n]
+        return val
 
     def continuum(self, faces) -> float:
         """Continuum E W over (t, n) face data."""

@@ -285,7 +285,7 @@ def combination_value(geometry: CrossingGeometry, backend: U1Backend,
         raise EquationError("combination coefficients must each sum to 1")
     if dvals is None:
         dvals = crossing_deformation_data(geometry, backend)
-    ew = backend.expectation_of_graph(geometry.graph)
+    ew = backend.expectation(geometry.subject)
     return (b[0] * dvals["e"] + b[1] * dvals["e_"] - a[0] * ew
             - a[1] * dvals["e1"] - a[2] * dvals["e2"]
             - a[3] * dvals["e3"] - a[4] * dvals["e4"])
@@ -364,7 +364,7 @@ def convergence_crossing(eps_list,
         geometry = geometry_at(eps)
         measure = U1Backend(eps)
         target = alternating_area_derivative(measure.wedge_derivatives(geometry))
-        ew = measure.expectation_of_graph(geometry.graph)
+        ew = measure.expectation(geometry.subject)
         dvals = crossing_deformation_data(geometry, measure)
 
         triples = compatible_triples(geometry.annotation)

@@ -324,10 +324,11 @@ def run_verify_discrete(cfg):
     overrides = cfg["overrides"]
     group = GroupSpec("U", 1)
 
-    rows, clauses = [], []
+    rows, clauses, geometry = [], [], []
     worst_fig8 = 0.0
     for eps in epsilons:
         geo = make_figure_eight(t2, t4, eps)
+        geometry.append(geo.realized())
         backend = U1Backend(eps)
         for label in ("e", "e_", "e1", "e3"):
             spec = EquationSpec(group, eps, geo.subject, geo.sites[label], overrides)
@@ -354,7 +355,7 @@ def run_verify_discrete(cfg):
                      "residual": rep.residual, "residual_sigma": 0.0})
     clauses.append(Clause(f"{count} randomized loops residual < %.0e" % tol,
                           worst_rand < tol, f"max |R| = {worst_rand:.2e}"))
-    return rows, clauses, {}
+    return rows, clauses, {"geometry": geometry}
 
 
 def _eps_seconds(*sweeps):
@@ -367,7 +368,7 @@ def _eps_seconds(*sweeps):
 def run_converge_simple(cfg):
     final_tol = cfg["tolerances"]["final_gap"]
     outer_tol = cfg["tolerances"]["outer_cancel"]
-    rows, clauses, sweeps = [], [], []
+    rows, clauses, sweeps, geometry = [], [], [], []
     for spec in cfg["groups"]["list"]:
         rep = convergence_simple(spec, cfg["geometry"]["t"], cfg["grid"]["epsilons"])
         sweeps.append(rep)
@@ -378,12 +379,14 @@ def run_converge_simple(cfg):
                          "epsilon": r["epsilon"], "value": r["D"],
                          "target": r["target"], "gap": r["gap"],
                          "term": "deformation-combination"})
+            geometry.append({"group": str(spec), "epsilon": r["epsilon"],
+                             "T": r["T"], "area": r["T"] * r["epsilon"]**2})
         clauses.append(_decreasing(f"{spec}: gap strictly decreasing", gaps))
         clauses.append(Clause(f"{spec}: final gap < {final_tol:g}",
                               gaps[-1] < final_tol, f"{gaps[-1]:.2e}"))
         clauses.append(Clause(f"{spec}: exact outer cancellation",
                               max(outs) < outer_tol, f"max {max(outs):.2e}"))
-    return rows, clauses, {"timings": _eps_seconds(*sweeps)}
+    return rows, clauses, {"geometry": geometry, "timings": _eps_seconds(*sweeps)}
 
 
 def run_converge_crossing(cfg):

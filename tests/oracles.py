@@ -12,8 +12,9 @@ import numpy as np
 import scipy.linalg
 
 from loopfield.action import (ActionParams, CharCoeffTable, action_exponent_scale,
-                              build_char_table_adaptive, heat_kernel_eval,
-                              heat_kernel_theta_derivative_u1, wilson_kfold_eval)
+                              build_char_table_adaptive, char_coefficient,
+                              heat_kernel_eval, heat_kernel_theta_derivative_u1,
+                              wilson_kfold_eval)
 from loopfield.driver import (CROSSING_SIGNS, build_graph, continuum_product,
                               _occupied_edges)
 from loopfield.groups import GroupSpec, GroupError, adjoint_deviation
@@ -57,6 +58,17 @@ def u1_bruteforce_expectation(obj, epsilon: float, grid: int = 96,
     if abs(mean.imag) > 1e-8:
         raise ValueError(f"brute-force value not real: {mean}")
     return mean.real
+
+
+def u1_face_product(obj, epsilon: float, tol: float = 1e-12) -> float:
+    """prod_F a_{|n_F|}(eps)^{plaquettes_F} over the bounded faces of the
+    loop's planar graph, in face order: the lattice value face by face."""
+    params = ActionParams(U1, epsilon)
+    val = 1.0
+    for f in build_graph(obj).faces:
+        n = abs(f.winding)
+        val *= (char_coefficient(n, params, tol=tol) if n else 1.0) ** f.plaquettes
+    return val
 
 
 def correction_term_im_bruteforce(faces, m: int, wedge_face: int | None,

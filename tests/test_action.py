@@ -435,7 +435,7 @@ def test_every_cache_is_bounded():
               for attr, value in vars(module).items()
               if callable(getattr(value, "cache_parameters", None))}
     assert {"loopfield.action._quadrature_grid", "loopfield.action._boltzmann_weight",
-            "loopfield.action._partition_function", "loopfield.driver._u1_value",
+            "loopfield.action._partition_function",
             "loopfield.driver._u1_coefficient"} <= set(caches)
     unbounded = [k for k, c in caches.items() if c.cache_parameters()["maxsize"] is None]
     assert not unbounded, unbounded

@@ -1,4 +1,6 @@
+import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from loopfield.driver import (build_graph, winding_number, U1Backend, _pop_order
                               make_limacon, make_crossing_squares,
                               DriverError)
 from oracles import (area_derivative_fd, correction_term_im_bruteforce,
-                     edge_graph, euler_characteristic, u1_bruteforce_expectation)
+                     edge_graph, euler_characteristic, u1_bruteforce_expectation,
+                     u1_face_product)
 
 
 def test_plaquette_graph():
@@ -422,12 +425,12 @@ def test_graph_dump_round_trip():
     assert payload["areas"] == [f.plaquettes for f in geo.graph.faces]
 
 
-def test_u1_memo_is_one_value_per_subject(monkeypatch):
-    # equal subjects built separately share one entry, which equals a fresh
-    # face product; the memo reaches build_graph and char_coefficient through
-    # the module's names, as a wrapper bound there would see them
+def test_u1_value_reads_the_winding_field(monkeypatch):
+    # the lattice value takes the winding field and the coefficients through
+    # the module's names, as a wrapper bound there would see them, and
+    # labels no faces
     import loopfield.driver as driver
-    calls = {"build_graph": 0, "char_coefficient": 0}
+    calls = {"winding_number": 0, "char_coefficient": 0}
 
     def counting(name):
         original = getattr(driver, name)
@@ -437,29 +440,66 @@ def test_u1_memo_is_one_value_per_subject(monkeypatch):
             return original(*args, **kwargs)
         return counted
 
+    def no_faces(obj):
+        raise AssertionError("the lattice value built a planar graph")
+
     for name in calls:
         monkeypatch.setattr(driver, name, counting(name))
-    driver._u1_value.cache_clear()
+    monkeypatch.setattr(driver, "build_graph", no_faces)
     driver._u1_coefficient.cache_clear()
     eps = 0.25
-    first, second = (make_figure_eight(0.5, 0.5, eps).subject for _ in range(2))
-    assert first is not second and first == second
-    value = U1Backend(eps).expectation(first)
-    assert calls == {"build_graph": 1, "char_coefficient": 1}
-    assert U1Backend(eps).expectation(second) == value
-    assert calls == {"build_graph": 1, "char_coefficient": 1}
-    assert value == U1Backend(eps).expectation_of_graph(build_graph(second))
-    info = driver._u1_value.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    # another eps or tol is another value
-    assert U1Backend(eps / 2).expectation(first) != value
-    U1Backend(eps, tol=1e-11).expectation(first)
-    assert driver._u1_value.cache_info().currsize == 3
+    subject = make_coil(0.5, eps).subject  # cells of winding 1 and 2
+    value = U1Backend(eps).expectation(subject)
+    assert calls == {"winding_number": 1, "char_coefficient": 2}
+    assert U1Backend(eps).expectation(subject) == value
+    assert calls == {"winding_number": 2, "char_coefficient": 2}
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["loop", "pair", "nested", "doubled"]))
-def test_u1_memo_equals_a_fresh_face_product(seed, kind):
+def test_u1_value_agrees_with_the_face_product(seed, kind):
     subject = _random_subject(np.random.default_rng(seed), 3, 3, kind, (2, -1))
-    be = U1Backend(0.5)
-    assert be.expectation(subject) == be.expectation_of_graph(build_graph(subject))
+    value = U1Backend(0.5).expectation(subject)
+    assert value == pytest.approx(u1_face_product(subject, 0.5), rel=1e-14, abs=0)
+
+
+def _relative_error_and_k(subject, eps):
+    """The lattice value's relative distance from the product of the same
+    float coefficients taken at 50 digits, and the number k of distinct
+    nonzero |winding| in the subject's field."""
+    _, wind = winding_number(subject)
+    counts = np.bincount(np.abs(wind).ravel())
+    windings = np.flatnonzero(counts[1:]) + 1
+    params = ActionParams(GroupSpec("U", 1), eps)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        exact = decimal.Decimal(1)
+        for n in windings.tolist():
+            a = char_coefficient(n, params, tol=1e-12)
+            exact *= decimal.Decimal(a) ** int(counts[n])
+        value = decimal.Decimal(U1Backend(eps).expectation(subject))
+        return float(abs(value - exact) / exact), windings.size
+
+
+ULP = sys.float_info.epsilon  # one ulp of 1.0: the relative rounding unit
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from(["loop", "pair", "nested", "doubled"]),
+       st.sampled_from([0.5, 0.25, 0.125]))
+def test_u1_value_within_2k_ulp_of_an_exact_product(seed, hx, hy, kind, eps):
+    # k correctly rounded powers and k - 1 products: at most about 1.5k ulp
+    subject = _random_subject(np.random.default_rng(seed), hx, hy, kind, (2, -1))
+    err, k = _relative_error_and_k(subject, eps)
+    assert err <= 2 * k * ULP
+
+
+@pytest.mark.parametrize("make", [
+    lambda eps: make_figure_eight(0.5, 0.5, eps), lambda eps: make_coil(0.5, eps),
+    lambda eps: make_limacon(0.5, 0.5, eps),
+    lambda eps: make_crossing_squares(1.5, 0.75, eps)])
+def test_u1_value_within_2k_ulp_on_fine_geometries(make):
+    # powers of a few hundred to a few thousand plaquettes at eps = 1/32
+    err, k = _relative_error_and_k(make(1 / 32).subject, 1 / 32)
+    assert err <= 2 * k * ULP

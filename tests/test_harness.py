@@ -95,17 +95,31 @@ def test_csv_determinism(tmp_path):
 def test_realized_geometry_in_json(tmp_path):
     # far below the lattice scale the lobes are clamped to 2 plaquettes, and
     # the report says so; the CSV gains no column
-    cfgp = _write(tmp_path, "[experiment]\nname = converge-crossing\n"
+    for name in ("converge-crossing", "verify-discrete"):
+        cfgp = _write(tmp_path, f"[experiment]\nname = {name}\n"
+                                "[grid]\nepsilons = 0.25 0.125\n"
+                                "[geometry]\nt2 = 1e-4\nt4 = 1e-4\n"
+                                "[output]\npath = cross\n")
+        run_experiment(cfgp, out_dir=str(tmp_path))
+        report = json.loads((tmp_path / "cross.json").read_text())
+        assert [g["epsilon"] for g in report["geometry"]] == [0.25, 0.125]
+        for g in report["geometry"]:
+            assert sorted(g["faces"]) == [[2, -1], [2, 1]]
+            assert g["areas"] == [2 * g["epsilon"]**2] * 2
+        header = (tmp_path / "cross.csv").read_text().splitlines()[0]
+        assert header.split(",") == list(CSV_COLUMNS)
+
+    # the simple loop's area is rounded to whole plaquettes
+    cfgp = _write(tmp_path, "[experiment]\nname = converge-simple\n"
                             "[grid]\nepsilons = 0.25 0.125\n"
-                            "[geometry]\nt2 = 1e-4\nt4 = 1e-4\n"
-                            "[output]\npath = cross\n")
+                            "[geometry]\nt = 0.3\n[groups]\nlist = U1\n"
+                            "[output]\npath = simple\n")
     run_experiment(cfgp, out_dir=str(tmp_path))
-    report = json.loads((tmp_path / "cross.json").read_text())
-    assert [g["epsilon"] for g in report["geometry"]] == [0.25, 0.125]
-    for g in report["geometry"]:
-        assert sorted(g["faces"]) == [[2, -1], [2, 1]]
-        assert g["areas"] == [2 * g["epsilon"]**2] * 2
-    header = (tmp_path / "cross.csv").read_text().splitlines()[0]
+    report = json.loads((tmp_path / "simple.json").read_text())
+    assert report["geometry"] == [
+        {"group": "U(1)", "epsilon": 0.25, "T": 5, "area": 0.3125},
+        {"group": "U(1)", "epsilon": 0.125, "T": 19, "area": 0.296875}]
+    header = (tmp_path / "simple.csv").read_text().splitlines()[0]
     assert header.split(",") == list(CSV_COLUMNS)
 
     cfgp = _write(tmp_path, "[experiment]\nname = converge-merger\n"
