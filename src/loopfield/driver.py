@@ -24,7 +24,8 @@ propagation (_label_cells).
 
 U1Backend is the exact measure of the sweeps in loopfield.equations: it
 holds both sides of each U(1) identity, the lattice expectations above,
-read off the winding field alone, and the continuum values, wedge area
+read off the winding field alone (a deformation's from a one-cell change of
+the subject's counts), and the continuum values, wedge area
 derivatives, crossing correction integrals I_m and splitting term, over the
 formulas continuum_product, area_derivative and correction_term_im.  The
 module also builds the lattice geometry families (rectangle, figure-eight,
@@ -156,7 +157,8 @@ def _occupied_edges(obj):
 
 def _bond_arrays(obj):
     """x, y and direction d of every bond of a loop or string, as int arrays."""
-    return np.array(list(_all_bonds(obj)), dtype=np.int64).reshape(-1, 3).T
+    coords = itertools.chain.from_iterable(_all_bonds(obj))
+    return np.fromiter(coords, dtype=np.int64).reshape(-1, 3).T
 
 
 def _winding_field(x, y, d):
@@ -317,8 +319,9 @@ class U1Backend:
 
     Every U(1) value the exact sweeps use comes from here: the lattice
     expectation of a loop or string from the cell counts of its winding
-    field, and the continuum side that the lattice values converge to,
-    read off a crossing geometry's faces at their lattice areas
+    field, the lattice expectations of its deformations from one-cell
+    changes of those counts, and the continuum side that the lattice values
+    converge to, read off a crossing geometry's faces at their lattice areas
     (plaquettes * eps^2): the expectation, the wedge area derivatives, the
     correction terms I_m and the splitting term.
     """
@@ -326,6 +329,7 @@ class U1Backend:
     def __init__(self, epsilon: float, tol: float = 1e-12):
         self.params = ActionParams(GroupSpec("U", 1), epsilon)
         self.tol = tol
+        self._fields = {}  # subject -> (origin, winding field, counts by |n|)
 
     @property
     def epsilon(self):
@@ -338,12 +342,39 @@ class U1Backend:
         if all(l.is_trivial for l in as_string(obj)):
             return 1.0
         _, wind = winding_number(obj)
-        counts = np.bincount(np.abs(wind).ravel()).tolist()
+        return self._product(np.bincount(np.abs(wind).ravel()).tolist())
+
+    def _product(self, counts) -> float:
         val = 1.0
         for n in range(1, len(counts)):
             if counts[n]:
                 val *= _u1_coefficient(n, self.epsilon, self.tol) ** counts[n]
         return val
+
+    def cell_change_expectations(self, obj, changes) -> list:
+        """E W of the loop or string obj with the winding around one cell
+        moved by dn, for each ((i, j), dn) of changes, dn = +1 or -1.
+
+        The winding field of obj and the counts of its cells by |n| are
+        computed once per subject; each value is expectation's product over
+        those counts with the one cell moved from |n| to |n + dn|.  A cell
+        outside the field's box has winding 0.
+        """
+        if obj not in self._fields:
+            origin, wind = winding_number(obj)
+            self._fields[obj] = (origin, wind,
+                                 np.bincount(np.abs(wind).ravel()).tolist())
+        (x0, y0), wind, counts = self._fields[obj]
+        values = []
+        for (i, j), dn in changes:
+            i, j = i - x0, j - y0
+            inside = 0 <= i < wind.shape[0] and 0 <= j < wind.shape[1]
+            n = int(wind[i, j]) if inside else 0
+            moved = counts + [0]  # room for |n + dn| = max |n| + 1
+            moved[abs(n)] -= 1
+            moved[abs(n + dn)] += 1
+            values.append(self._product(moved))
+        return values
 
     def continuum(self, faces) -> float:
         """Continuum E W over (t, n) face data."""

@@ -21,9 +21,11 @@ SU(2) and SO(3), and a Metropolis chain (`run_chain`) for the other groups.
 
 The exact sweeps (convergence_crossing, crossing_im_sweep,
 degenerate_checks) build one measure per eps and take every U(1) value
-from its methods: lattice expectations on one side of each identity, and
-on the other the continuum expectation, wedge area derivatives, correction
-terms I_m and splitting term.  The group's coefficients come from
+from its methods: lattice expectations on one side of each identity, the
+deformation values D from one-cell changes of the subject's winding counts
+with no deformed string built, and on the other side the continuum
+expectation, wedge area derivatives, correction terms I_m and splitting
+term.  The group's coefficients come from
 EquationSpec.
 """
 
@@ -38,9 +40,10 @@ import numpy as np
 from loopfield.groups import GroupSpec, casimir_standard
 from loopfield.action import (ActionParams, char_coefficient, standard_label,
                               integrate_class_function, partition_function)
-from loopfield.loops import (LoopString, as_string, bond_inverse,
-                             string_deformation_sets, string_split, string_merge,
-                             string_twist, expansion_sets, compatible_triples)
+from loopfield.loops import (LoopString, as_string, bond_inverse, incident_cells,
+                             string_deformation_sets, string_split,
+                             string_merge, string_twist, expansion_sets,
+                             compatible_triples)
 from loopfield.driver import (U1Backend, CrossingGeometry, make_figure_eight,
                               make_coil, make_limacon, make_crossing_squares)
 from loopfield.sampler import (IID_GROUPS, MCSchedule, run_chain, sample_iid,
@@ -249,16 +252,26 @@ def _second_occurrence(s: LoopString, site):
 
 
 def deformation_value(subject, site, backend: U1Backend) -> float:
-    """(1/2 eps^2)(sum E W over D- minus over D+) at the site, exact U(1)."""
-    s = as_string(subject)
+    """(1/2 eps^2)(sum E W over D- minus over D+) at the site, exact U(1).
+
+    Each deformation merges the subject with the plaquette of one of the two
+    cells next to the site's bond e, so in U(1) it moves the winding around
+    that cell by one: a negative deformation by -1 where the cell lies left
+    of e and by +1 where it lies right, a positive one the opposite.  The
+    four values are those one-cell changes of the subject's winding counts
+    (U1Backend.cell_change_expectations); no deformed string is built.
+    Only assemble, whose experiments check the loop code, builds them.
+    """
     comp, loc = site
-    e = s.loops[comp].word[loc]
-    d_minus, d_plus = string_deformation_sets(s, comp, e, loc)
+    e = as_string(subject).loops[comp].word[loc]
+    minus = [(cell, -1 if left else 1) for cell, left in incident_cells(e)]
+    plus = [(cell, -dn) for cell, dn in minus]
+    values = backend.cell_change_expectations(subject, minus + plus)
     tot = 0.0
-    for s2, _ in d_minus:
-        tot += backend.expectation(s2)
-    for s2, _ in d_plus:
-        tot -= backend.expectation(s2)
+    for v in values[:len(minus)]:
+        tot += v
+    for v in values[len(minus):]:
+        tot -= v
     return tot / (2.0 * backend.epsilon**2)
 
 
@@ -357,7 +370,9 @@ def convergence_crossing(eps_list,
     builds at each eps: per-triple combinations and the general (b, a)
     combinations, against the alternating area derivative, and the
     splitting (or, across two components, merger) term each triple equals
-    exactly.  Each row carries the seconds it took."""
+    exactly.  Each D value is a one-cell change of the subject's winding
+    counts (deformation_value), so no deformed string is built; each row
+    carries the seconds it took."""
     rows = []
     for eps in eps_list:
         t0 = time.perf_counter()

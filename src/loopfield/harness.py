@@ -185,6 +185,11 @@ RULES = {
         for b, a in (("b", "a"), ("b2", "a2"))],
     "converge-merger": [("[geometry] overlap < side",
                          lambda c: c["geometry"]["overlap"] < c["geometry"]["side"])],
+    # round(0.5) is 0, so t = eps^2/2 runs on no loop too
+    "converge-simple": [("[geometry] t > eps^2/2 at every eps, so that the loop "
+                         "has T = round(t/eps^2) >= 1 plaquettes",
+                         lambda c: all(round(c["geometry"]["t"] / eps**2) >= 1
+                                       for eps in c["grid"]["epsilons"]))],
     "converge-unified": [_ONE_MEASUREMENT],
     "sample-diagnostics": [_ONE_MEASUREMENT],
 }

@@ -18,8 +18,9 @@ from loopfield.action import (ActionParams, CharCoeffTable, action_exponent_scal
 from loopfield.driver import (CROSSING_SIGNS, build_graph, continuum_product,
                               _occupied_edges)
 from loopfield.groups import GroupSpec, GroupError, adjoint_deviation
-from loopfield.loops import (TRIVIAL_LOOP, Loop, LoopError, bond_end, bond_inverse,
-                             bond_start, make_loop_from_moves)
+from loopfield.loops import (TRIVIAL_LOOP, Loop, LoopError, as_string, bond_end,
+                             bond_inverse, bond_start, make_loop_from_moves,
+                             string_deformation_sets)
 from loopfield.sampler import plaquette_product
 
 U1 = GroupSpec("U", 1)
@@ -69,6 +70,22 @@ def u1_face_product(obj, epsilon: float, tol: float = 1e-12) -> float:
         n = abs(f.winding)
         val *= (char_coefficient(n, params, tol=tol) if n else 1.0) ** f.plaquettes
     return val
+
+
+def deformation_value_by_surgery(subject, site, backend) -> float:
+    """equations.deformation_value from the deformed strings themselves: the
+    loop surgery of string_deformation_sets, and backend.expectation of each
+    deformed string."""
+    s = as_string(subject)
+    comp, loc = site
+    e = s.loops[comp].word[loc]
+    d_minus, d_plus = string_deformation_sets(s, comp, e, loc)
+    tot = 0.0
+    for s2, _ in d_minus:
+        tot += backend.expectation(s2)
+    for s2, _ in d_plus:
+        tot -= backend.expectation(s2)
+    return tot / (2.0 * backend.epsilon**2)
 
 
 def correction_term_im_bruteforce(faces, m: int, wedge_face: int | None,

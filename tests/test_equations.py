@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from loopfield.groups import GroupSpec
 from loopfield.action import ActionParams, char_coefficient, standard_label
-from loopfield.loops import (DIR_CHARS, LoopString, bond_inverse, make_loop,
-                             occurrences, random_loop, walk_moves)
+from loopfield.loops import (DIR_CHARS, LoopString, bond_inverse,
+                             compatible_triples, make_loop, occurrences,
+                             random_loop, walk_moves)
 from loopfield.driver import (U1Backend, make_figure_eight,
                               make_figure_eight_reversed, make_rectangle,
                               make_coil, make_limacon, make_crossing_squares)
@@ -22,7 +23,7 @@ from loopfield.equations import (EquationSpec, assemble, evaluate_exact_u1,
                                  finite_difference_alternating)
 from loopfield import equations
 from loopfield.sampler import LatticeBox, MCSchedule, make_estimate, sample_iid
-from oracles import area_derivative_fd
+from oracles import area_derivative_fd, deformation_value_by_surgery
 
 U1 = GroupSpec("U", 1)
 
@@ -215,6 +216,56 @@ def test_deformation_value_matches_equation():
     assert d_e == pytest.approx(2.0 * backend.expectation(geo.subject), abs=1e-13)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(),
+       st.sampled_from([0.5, 0.25, 0.125]))
+def test_deformation_value_is_the_loop_surgery_value_on_strings(seed, n_loops,
+                                                                negative, eps):
+    # every bond of a random string whose loops share bonds: the one-cell
+    # change of the winding counts gives the loop-surgery value to the bit
+    rng = np.random.default_rng(seed)
+    loop, e, _ = _loop_with_second_pass(rng, 3, 3, negative)
+    others = [_loop_through(rng, bond_inverse(e) if rng.random() < 0.5 else e, 3, 3)
+              for _ in range(n_loops - 1)]
+    comp = int(rng.integers(n_loops))
+    string = LoopString(others[:comp] + [loop] + others[comp:])
+    subject = string if n_loops > 1 else loop
+    backend = U1Backend(eps)
+    for c, l in enumerate(string.loops):
+        for loc in range(len(l.word)):
+            assert deformation_value(subject, (c, loc), backend) == \
+                deformation_value_by_surgery(subject, (c, loc), backend)
+
+
+_GEOMETRIES = {
+    "figure-eight": lambda eps: make_figure_eight(0.5, 0.5, eps),
+    "figure-eight-reversed": lambda eps: make_figure_eight_reversed(0.5, 0.5, eps),
+    "coil": lambda eps: make_coil(0.5, eps),
+    "limacon": lambda eps: make_limacon(0.5, 0.5, eps),
+    "crossing-squares": lambda eps: make_crossing_squares(1.5, 0.75, eps),
+}
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.125, 0.0625, 0.03125])
+@pytest.mark.parametrize("kind", sorted(_GEOMETRIES) + ["rectangle"])
+def test_deformation_value_is_the_loop_surgery_value_on_geometries(kind, eps):
+    # the canonical and triple sites of each crossing factory, and every
+    # bond of the rectangle, bit for bit
+    if kind == "rectangle":
+        subject, _ = make_rectangle(0.5, eps)
+        sites = [(0, loc) for loc in range(len(subject.word))]
+    else:
+        geo = _GEOMETRIES[kind](eps)
+        subject = geo.subject
+        sites = set(geo.sites.values())
+        for tr in compatible_triples(geo.annotation):
+            sites |= {tr.site_e, tr.site_a, tr.site_b}
+    backend = U1Backend(eps)
+    for site in sorted(sites):
+        assert deformation_value(subject, site, backend) == \
+            deformation_value_by_surgery(subject, site, backend), site
+
+
 def test_combination_coefficient_validation():
     geo = make_figure_eight(0.5, 0.5, 0.25)
     backend = U1Backend(0.25)
@@ -311,6 +362,7 @@ class _RecordingMeasure:
     comes from the measure."""
 
     LATTICE, CONTINUUM, SPLIT = 0.5, 0.25, 0.125
+    DEFORMED = (0.75, 0.5, 0.25, 0.125)  # the D- and then the D+ values
     WEDGES = {1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4}
     I_M = {1: 0.01, 2: 0.02, 3: 0.03, 4: 0.04}
 
@@ -323,6 +375,17 @@ class _RecordingMeasure:
     def expectation(self, obj):
         self.calls.append("expectation")
         return self.LATTICE
+
+    def cell_change_expectations(self, obj, changes):
+        self.calls.append("cell_change_expectations")
+        assert len(changes) == len(self.DEFORMED)
+        return list(self.DEFORMED)
+
+    @classmethod
+    def deformation(cls, eps):
+        """The D value that deformation_value forms from DEFORMED."""
+        return (cls.DEFORMED[0] + cls.DEFORMED[1] - cls.DEFORMED[2]
+                - cls.DEFORMED[3]) / (2.0 * eps**2)
 
     def continuum(self, faces):
         self.calls.append("continuum")
@@ -372,6 +435,8 @@ def test_exact_sweeps_take_every_u1_value_from_the_measure(monkeypatch):
         assert row["identity_loop1"] == abs(limit_e - m.SPLIT - m.CONTINUUM)
         assert row["identity_g2"] == abs(2.0 * (d[1] - d[4]) + 2.0 * i_m[1]
                                          - m.CONTINUUM)
+        # the D values, and so the gaps, come from the measure too
+        assert row["gap_e"] == abs(m.deformation(row["epsilon"]) - limit_e)
         assert row["I"] == i_m
     assert calls.count("__init__") == len(eps_list)
 
@@ -389,6 +454,18 @@ def test_exact_sweeps_take_every_u1_value_from_the_measure(monkeypatch):
     assert set(calls) - {"__init__"} <= interface
     for name in ("continuum_product", "correction_term_im", "area_derivative"):
         assert not hasattr(equations, name), name
+
+
+def test_exact_sweeps_build_no_deformed_string(monkeypatch):
+    # every D of the sweeps is a one-cell change of the winding counts
+    def surgery(*args, **kwargs):
+        raise AssertionError("a sweep built deformed strings")
+
+    monkeypatch.setattr(equations, "string_deformation_sets", surgery)
+    convergence_crossing((0.25, 0.125), max_triples=1)
+    convergence_merger((0.25, 0.125))
+    crossing_im_sweep((0.25, 0.125))
+    degenerate_checks(0.25)
 
 
 def test_alternating_area_derivative_signs():

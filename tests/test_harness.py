@@ -53,6 +53,14 @@ def test_malformed_epsilons_exit_code(tmp_path):
     assert not any(p.suffix == ".csv" for p in tmp_path.iterdir())
 
 
+def test_converge_simple_loop_of_one_plaquette_loads(tmp_path):
+    # t = eps^2 at eps 1/4: T = 1 there and 4 at eps 1/8, so the T >= 1 rule holds
+    path = _write(tmp_path, "[experiment]\nname = converge-simple\n"
+                            "[grid]\nepsilons = 0.25 0.125\n[geometry]\nt = 0.0625\n")
+    _, cfg = load_config(path)
+    assert cfg["geometry"]["t"] == 0.0625
+
+
 def test_negative_epsilon_rejected(tmp_path):
     path = _write(tmp_path, "[experiment]\nname = converge-simple\n"
                             "[grid]\nepsilons = 0.25 -0.1\n")
@@ -316,6 +324,10 @@ _OTHERS = sorted(set(SCHEMA) - {"verify-discrete"})
     ("converge-unified", "[groups]\nlist = SU1\n"),
     ("converge-crossing", "[triples]\nmax_triples = 0\n"),
     ("converge-simple", "[geometry]\nt = -1\n"),
+    # T = round(t/eps^2) = 0 plaquettes at eps 1/4 and 1/8; and at eps 1/4
+    # alone for t = eps^2/2, since round(0.5) is 0
+    ("converge-simple", "[grid]\nepsilons = 0.25 0.125\n[geometry]\nt = 0.001\n"),
+    ("converge-simple", "[grid]\nepsilons = 0.25 0.125\n[geometry]\nt = 0.03125\n"),
     ("converge-merger", "[geometry]\nside = 0\n"),
     ("converge-merger", "[geometry]\nside = 0.5\noverlap = 0.75\n"),
     ("converge-crossing", "[combos]\nb = 0.5 0.5\na = 1 2\n"),
