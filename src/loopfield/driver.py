@@ -5,31 +5,31 @@ distributed by the Wilson action (lattice) or the heat kernel (continuum),
 so the expectation of a loop (or string) depends only on the winding number
 of the loop around each unit cell:
 
-    E W  =  prod_{n >= 1} a_n(eps)^{count_n}   (lattice)
-    E W  =  prod_F exp(-n_F^2 t_F / 2)         (continuum)
+    E W  =  prod_{n >= 1} a_n(eps)^{count_n}             (lattice)
+    E W  =  prod_{n >= 1} exp(-n^2 count_n eps^2 / 2)    (continuum)
 
-with count_n the number of cells of winding +-n, multiplied in ascending n,
-and F the bounded faces, of winding n_F and area t_F.  Winding numbers form
-one integer field over the cells of the loop's bounding box: the winding
-around the cell (i, j) is the signed count of the horizontal bonds in column
-i at heights y <= j (+1 for a bond going right, -1 for one going left), a
-running sum up each column.  Each coefficient a_n(eps) is computed once per
+with count_n the number of cells of winding +-n, multiplied in ascending n.
+Winding numbers form one integer field w over the cells of the loop's
+bounding box: the winding around the cell (i, j) is the signed count of the
+horizontal bonds in column i at heights y <= j (+1 for a bond going right,
+-1 for one going left), a running sum up each column.  The area derivatives
+of the continuum side are local in w too: at the wedge cell c_m of a
+crossing, d_m E W = -w(c_m)^2/2 E W, and the crossing correction integral
+is I_m = sign_m w(c_m) E W.  Each coefficient a_n(eps) is computed once per
 (n, eps, tol), in a bounded memo that every U1Backend shares.
 
-Faces, for the continuum side and the wedges of a crossing, are the
-connected components of the unit cells of the bounding box, with the
-occupied edges as walls, labelled in NumPy on a doubled grid of cells and
-walls: runs of cells up each column, merged across open walls by min-label
-propagation (_label_cells).
+U1Backend, the exact measure of the sweeps in loopfield.equations, reads
+both sides of each U(1) identity off the subject's winding field alone: the
+lattice values above (a deformation's from a one-cell change of the
+counts), and the continuum values, wedge area derivatives, I_m and
+splitting term.
 
-U1Backend is the exact measure of the sweeps in loopfield.equations: it
-holds both sides of each U(1) identity, the lattice expectations above,
-read off the winding field alone (a deformation's from a one-cell change of
-the subject's counts), and the continuum values, wedge area
-derivatives, crossing correction integrals I_m and splitting term, over the
-formulas continuum_product, area_derivative and correction_term_im.  The
-module also builds the lattice geometry families (rectangle, figure-eight,
-coil, limacon, crossing squares) that the convergence experiments sweep.
+Faces only describe a geometry (the JSON `geometry` and the fixture
+figure_eight_graph.json): build_graph labels the connected components of
+the cells of the box, walled by the occupied edges, on a doubled grid of
+cells and walls (_label_cells).  The module also builds the lattice
+geometry families (rectangle, figure-eight, coil, limacon, crossing
+squares) that the convergence experiments sweep.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
@@ -74,31 +73,6 @@ class FaceData:
                              (j + self.origin[1]).tolist()))
 
 
-class _CellToFace(Mapping):
-    """cell (i, j) -> index in graph.faces, read off the label array on each
-    lookup, so that no per-cell dict is built."""
-
-    def __init__(self, graph):
-        self._graph = graph
-        self._index = {f.label: k for k, f in enumerate(graph.faces)}
-
-    def __getitem__(self, cell):
-        g = self._graph
-        i, j = cell[0] - g.origin[0], cell[1] - g.origin[1]
-        if g.ids is not None and 0 <= i < g.ids.shape[0] and 0 <= j < g.ids.shape[1]:
-            face = self._index.get(int(g.ids[i, j]))
-            if face is not None:
-                return face
-        raise KeyError(cell)
-
-    def __iter__(self):
-        for f in self._graph.faces:
-            yield from f.cells
-
-    def __len__(self):
-        return sum(f.plaquettes for f in self._graph.faces)
-
-
 @dataclass(eq=False)
 class PlanarLoopGraph:
     subject: object
@@ -107,12 +81,14 @@ class PlanarLoopGraph:
     ids: np.ndarray | None = None  # the face label of every cell of the box
 
     @cached_property
-    def cell_to_face(self) -> Mapping:
-        """The index in faces of each cell of a bounded face."""
-        return _CellToFace(self)
-
-    def face_of_cell(self, cell):
-        return self.cell_to_face.get(tuple(cell))
+    def cell_to_face(self) -> dict:
+        """The index in faces of each cell of a bounded face: the face of
+        label k >= 2 is faces[k - 2]."""
+        if self.ids is None:
+            return {}
+        i, j = np.nonzero(self.ids > 1)
+        cells = zip((i + self.origin[0]).tolist(), (j + self.origin[1]).tolist())
+        return dict(zip(cells, (self.ids[i, j] - 2).tolist()))
 
     def boundaries(self):
         """Occupied undirected edges bordering each face, for fixture dumps."""
@@ -184,31 +160,6 @@ def winding_number(obj):
 _STEPS = np.array(DIRS, dtype=np.int64)
 
 
-@lru_cache(maxsize=128)
-def _pop_order(x0, y0, nx, ny):
-    """The cells of the box [x0, x0 + nx) x [y0, y0 + ny) in the iteration
-    order of the set of their (i, j) tuples, as positions i' * ny + j' of
-    the box (i' = i - x0, j' = j - y0).
-
-    The faces of build_graph come in the order in which a flood fill would
-    pop its seeds from that set.  The face order is the order of the faces
-    in the fixture dump and of the factors of the continuum products over a
-    geometry's faces, so it fixes those bytes and the last bits of those
-    values; no lattice value depends on it.  That order is CPython's: tuple
-    hashing and the slot order of a set filled in row order, which set.pop
-    walks from the front and which no later removal reorders.  Another
-    interpreter may give other bits.  The cache holds every distinct box of
-    one exact-sweep benchmark pass (16 boxes, 208 KB in all, the largest
-    83 KB).
-    """
-    cells = set(itertools.product(range(x0, x0 + nx), range(y0, y0 + ny)))
-    ij = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int32,
-                     count=2 * nx * ny).reshape(-1, 2)
-    order = (ij[:, 0] - x0) * ny + (ij[:, 1] - y0)
-    order.flags.writeable = False
-    return order
-
-
 def _wall_grid(x, y, d, origin, shape):
     """The doubled grid of the box of `shape` cells at `origin`: cell (i, j)
     at [2i' + 1, 2j' + 1] (i' = i - x0, j' = j - y0), the walls between
@@ -267,40 +218,33 @@ def _label_cells(grid):
 
 
 def build_graph(obj) -> PlanarLoopGraph:
-    """Faces and winding numbers of a loop or string.
+    """The faces of a loop or string, which describe its geometry: the
+    cells, area and winding number of each bounded face.  No value reads
+    them; U1Backend reads the winding field alone.
 
     The cells of the winding box sit at the odd positions of a doubled
     grid, the walls between them at the mixed ones; a wall is closed where
     an occupied edge lies.  _label_cells then gives each face one label,
-    numbered in the raster order of the face's first cell, and the box's
-    margin cell labels the unbounded face.  The faces come in the order in
-    which the cells of _pop_order first meet each label; one comparison of
-    the popped labels with every label finds those first cells, with no
-    sort over the box.
+    numbered in the raster order of the face's first cell, so label 1 is
+    the unbounded face of the box's margin and the bounded faces come in
+    label order, each with the winding of its first cell.
     """
     string = as_string(obj)
     if all(l.is_trivial for l in string):
         return PlanarLoopGraph(obj, [])
     x, y, d = _bond_arrays(string)
-    (x0, y0), wind = _winding_field(x, y, d)
-    nx, ny = wind.shape
-    ids = _label_cells(_wall_grid(x, y, d, (x0, y0), (nx, ny)))
-
-    order = _pop_order(x0, y0, nx, ny)
-    popped = ids.ravel()[order]
-    plaquettes = np.bincount(ids.ravel())
-    # the position in pop order of each label's first cell, in pop order
-    first = np.sort((popped == np.arange(1, plaquettes.size)[:, None]).argmax(axis=1))
-    outer = ids[0, 0]
-    faces = []
-    for label, cell in zip(popped[first].tolist(), order[first].tolist()):
-        n = int(wind.flat[cell])
-        if label == outer:
-            if n != 0:
-                raise DriverError("unbounded face with nonzero winding")
-            continue
-        faces.append(FaceData(n, int(plaquettes[label]), label, (x0, y0), ids))
-    return PlanarLoopGraph(obj, faces, (x0, y0), ids)
+    origin, wind = _winding_field(x, y, d)
+    ids = _label_cells(_wall_grid(x, y, d, origin, wind.shape))
+    if wind[ids == 1].any():
+        raise DriverError("unbounded face with nonzero winding")
+    labels = ids.ravel()
+    # a cell is its label's first where its label exceeds all labels before it
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=0))
+    windings = wind.ravel()[first[1:]].tolist()
+    plaquettes = np.bincount(labels)[2:].tolist()
+    faces = [FaceData(n, p, label, origin, ids)
+             for label, (n, p) in enumerate(zip(windings, plaquettes), start=2)]
+    return PlanarLoopGraph(obj, faces, origin, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +261,12 @@ def _u1_coefficient(n: int, epsilon: float, tol: float) -> float:
 class U1Backend:
     """The exact U(1) measure at one lattice spacing.
 
-    Every U(1) value the exact sweeps use comes from here: the lattice
-    expectation of a loop or string from the cell counts of its winding
-    field, the lattice expectations of its deformations from one-cell
-    changes of those counts, and the continuum side that the lattice values
-    converge to, read off a crossing geometry's faces at their lattice areas
-    (plaquettes * eps^2): the expectation, the wedge area derivatives, the
-    correction terms I_m and the splitting term.
+    Every U(1) value the exact sweeps use comes from here, read off the
+    winding field of a loop or string, kept once per subject with the counts
+    of its cells by |n|: the lattice expectation and its deformations'
+    (one-cell changes of the counts), and the continuum side at the areas
+    count * eps^2: the expectation and, at a crossing geometry's wedge cells
+    c_m, the area derivatives d_m, correction terms I_m and splitting term.
     """
 
     def __init__(self, epsilon: float, tol: float = 1e-12):
@@ -351,75 +294,104 @@ class U1Backend:
                 val *= _u1_coefficient(n, self.epsilon, self.tol) ** counts[n]
         return val
 
+    def _field(self, obj):
+        """(origin, winding field, counts of the cells by |n|) of a loop or
+        string, computed on the first call for each subject."""
+        entry = self._fields.get(obj)  # one lookup: a Loop hashes its word
+        if entry is None:
+            origin, wind = (((0, 0), np.zeros((0, 0), dtype=np.int64))
+                            if all(l.is_trivial for l in as_string(obj))
+                            else winding_number(obj))
+            counts = np.bincount(np.abs(wind).ravel(), minlength=1).tolist()
+            entry = self._fields[obj] = (origin, wind, counts)
+        return entry
+
     def cell_change_expectations(self, obj, changes) -> list:
         """E W of the loop or string obj with the winding around one cell
-        moved by dn, for each ((i, j), dn) of changes, dn = +1 or -1.
-
-        The winding field of obj and the counts of its cells by |n| are
-        computed once per subject; each value is expectation's product over
-        those counts with the one cell moved from |n| to |n + dn|.  A cell
-        outside the field's box has winding 0.
-        """
-        if obj not in self._fields:
-            origin, wind = winding_number(obj)
-            self._fields[obj] = (origin, wind,
-                                 np.bincount(np.abs(wind).ravel()).tolist())
-        (x0, y0), wind, counts = self._fields[obj]
+        moved by dn, for each ((i, j), dn) of changes, dn = +1 or -1: each
+        value is expectation's product over the subject's counts with the
+        one cell moved from |n| to |n + dn|."""
+        origin, wind, counts = self._field(obj)
         values = []
-        for (i, j), dn in changes:
-            i, j = i - x0, j - y0
-            inside = 0 <= i < wind.shape[0] and 0 <= j < wind.shape[1]
-            n = int(wind[i, j]) if inside else 0
+        for cell, dn in changes:
+            n = _winding_at(origin, wind, cell)
             moved = counts + [0]  # room for |n + dn| = max |n| + 1
             moved[abs(n)] -= 1
             moved[abs(n + dn)] += 1
             values.append(self._product(moved))
         return values
 
-    def continuum(self, faces) -> float:
-        """Continuum E W over (t, n) face data."""
-        return continuum_product(faces)
+    def continuum(self, obj, split=None) -> float:
+        """Continuum E W of a loop or string, from the counts of its winding
+        field (u1_expectation_continuum).  split = (cell, f) first cuts the
+        class of that cell's |winding| into two, of f and 1 - f of its area:
+        face-splitting surgery, which leaves E W fixed."""
+        origin, wind, counts = self._field(obj)
+        if split is not None:
+            cell, f = split
+            split = abs(_winding_at(origin, wind, cell)), f
+        return u1_expectation_continuum(counts, self.epsilon, split)
+
+    def _wedges(self, geometry):
+        """The continuum E W of a crossing geometry and {m: w(c_m)}, the
+        winding around each wedge cell, None for an unbounded wedge."""
+        origin, wind, counts = self._field(geometry.subject)
+        windings = {m: None if cell is None else _winding_at(origin, wind, cell)
+                    for m, cell in geometry.wedge_cells.items()}
+        return u1_expectation_continuum(counts, self.epsilon), windings
 
     def wedge_derivatives(self, geometry) -> dict:
         """{m: d_m E W} over the four wedges of a crossing geometry; 0.0 where
         the wedge belongs to the unbounded face (the planar convention)."""
-        faces = geometry.lattice_faces()
-        return {m: 0.0 if k is None else area_derivative(faces, k)
-                for m, k in geometry.wedge_face_indices().items()}
+        ew, windings = self._wedges(geometry)
+        return {m: 0.0 if n is None else area_derivative(n, ew)
+                for m, n in windings.items()}
 
     def correction_terms(self, geometry) -> dict:
         """{m: I_m} over the four wedges of a crossing geometry."""
-        faces = geometry.lattice_faces()
-        wedges = geometry.wedge_face_indices()
-        return {m: correction_term_im(faces, m, wedges[m]) for m in (1, 2, 3, 4)}
+        ew, windings = self._wedges(geometry)
+        return {m: correction_term_im(m, windings[m], ew) for m in (1, 2, 3, 4)}
 
     def continuum_splitting(self, geometry) -> float:
         """Continuum E W_{l1} W_{l2} of the splitting at the crossing.  In
         U(1) the Wilson loop factorizes over the two sub-loops, so this is
         E W_l of the whole loop."""
-        return self.continuum(geometry.lattice_faces())
+        return self.continuum(geometry.subject)
 
 
-def continuum_product(faces) -> float:
-    """prod exp(-n^2 t / 2) over (t, n) face data."""
+def _winding_at(origin, wind, cell) -> int:
+    """The winding around cell in the field wind at origin; 0 outside it."""
+    i, j = cell[0] - origin[0], cell[1] - origin[1]
+    inside = 0 <= i < wind.shape[0] and 0 <= j < wind.shape[1]
+    return int(wind[i, j]) if inside else 0
+
+
+def continuum_product(classes) -> float:
+    """prod exp(-n^2 t / 2) over (t, n) pairs: areas t of winding n."""
     val = 1.0
-    for t, n in faces:
+    for t, n in classes:
         val *= math.exp(-0.5 * n * n * t)
     return val
 
 
-def u1_expectation_continuum(obj, epsilon: float) -> float:
-    """Continuum value of a lattice loop, areas read off as plaquettes * eps^2."""
-    graph = build_graph(obj)
-    return continuum_product([(f.plaquettes * epsilon**2, f.winding)
-                              for f in graph.faces])
+def u1_expectation_continuum(counts, epsilon: float, split=None) -> float:
+    """Continuum E W from the counts of the cells by |winding| (counts[n]
+    cells of winding +-n): continuum_product over the winding classes
+    (counts[n] * eps^2, n), n >= 1 ascending.  split = (n, f) replaces class
+    n by two classes, of f and 1 - f of its area, at the end."""
+    classes = [(c * epsilon**2, n) for n, c in enumerate(counts) if n and c]
+    if split is not None:
+        n, f = split
+        t = counts[n] * epsilon**2
+        classes.remove((t, n))
+        classes += [(f * t, n), ((1 - f) * t, n)]
+    return continuum_product(classes)
 
 
-def area_derivative(faces, index: int) -> float:
-    """d/dt_index of the continuum product over (t, n) faces: -n^2/2 * E W."""
-    faces = list(faces)
-    _, n = faces[index]
-    return -0.5 * n * n * continuum_product(faces)
+def area_derivative(n: int, value: float) -> float:
+    """d/dt_F of the continuum E W (value) at a face F of winding n:
+    -n^2/2 * E W."""
+    return -0.5 * n * n * value
 
 
 # ---------------------------------------------------------------------------
@@ -432,26 +404,20 @@ def area_derivative(faces, index: int) -> float:
 CROSSING_SIGNS = {1: 1.0, 2: 1.0, 3: -1.0, 4: -1.0}
 
 
-def correction_term_im(faces, m: int, wedge_face: int | None) -> float:
-    """I_m on a crossing graph by Fourier reduction of the face integrals.
+def correction_term_im(m: int, n: int | None, value: float) -> float:
+    """I_m = sign_m * n * E W by Fourier reduction of the face integrals.
 
-    faces: (t, n) data for the bounded faces; wedge_face: index of the face
-    F_m in that list, or None when the wedge belongs to the unbounded face
-    (then I_m = 0: the heat-kernel factor degenerates to the constant).
+    n: the winding of the wedge face F_m, or None when the wedge belongs to
+    the unbounded face (then I_m = 0: the heat-kernel factor degenerates to
+    the constant); value: the continuum E W.  F_m's factor
+    int e^{i n theta} (d/dtheta p_t)(theta) dtheta/2pi = -i n e^{-n^2 t/2}
+    is, with the i from the loop derivative, n times its factor in E W.
     """
     if m not in (1, 2, 3, 4):
         raise DriverError("m must be 1..4")
-    if wedge_face is None:
+    if n is None:
         return 0.0
-    val = CROSSING_SIGNS[m]
-    for idx, (t, n) in enumerate(faces):
-        if idx == wedge_face:
-            # int e^{i n theta} * (d/dtheta p_t)(theta) dtheta/2pi = -i n e^{-n^2 t/2};
-            # with the i from the loop derivative this contributes n e^{-n^2 t/2}
-            val *= n * math.exp(-0.5 * n * n * t)
-        else:
-            val *= math.exp(-0.5 * n * n * t)
-    return val
+    return CROSSING_SIGNS[m] * n * value
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +426,12 @@ def correction_term_im(faces, m: int, wedge_face: int | None) -> float:
 
 @dataclass
 class CrossingGeometry:
-    """A lattice loop/string realizing a crossing, with all the bookkeeping.
+    """A lattice loop or string realizing a crossing, with its annotation.
 
-    wedge_cells maps m in {1..4} to a representative unit cell of the face
-    F_m adjacent to the crossing, or None when that wedge belongs to the
-    unbounded face.  limit_faces lists (t, winding) of the bounded faces of
-    the continuum design.
+    wedge_cells maps m in {1..4} to a unit cell c_m of the face F_m adjacent
+    to the crossing, or None when that wedge belongs to the unbounded face;
+    the measure reads the winding around c_m.  graph, the subject's faces,
+    only describes the shape built (realized).
     """
 
     kind: str
@@ -473,19 +439,10 @@ class CrossingGeometry:
     subject: object
     annotation: CrossingAnnotation
     wedge_cells: dict
-    limit_faces: list
-    extra: dict = field(default_factory=dict)
 
     @cached_property
     def graph(self) -> PlanarLoopGraph:
         return build_graph(self.subject)
-
-    def wedge_face_indices(self) -> dict:
-        return {m: None if cell is None else self.graph.face_of_cell(cell)
-                for m, cell in self.wedge_cells.items()}
-
-    def lattice_faces(self):
-        return [(f.plaquettes * self.epsilon**2, f.winding) for f in self.graph.faces]
 
     @property
     def sites(self) -> dict:
@@ -499,9 +456,10 @@ class CrossingGeometry:
         """The shape built at this eps: [plaquettes, winding] of each bounded
         face and its area plaquettes * eps^2 (small areas are clamped to a
         minimum plaquette count, so these can exceed the requested ones)."""
+        faces = self.graph.faces
         return {"epsilon": self.epsilon,
-                "faces": [[f.plaquettes, f.winding] for f in self.graph.faces],
-                "areas": [t for t, _ in self.lattice_faces()]}
+                "faces": [[f.plaquettes, f.winding] for f in faces],
+                "areas": [f.plaquettes * self.epsilon**2 for f in faces]}
 
 
 def _annotated_loops(*components):
@@ -545,7 +503,8 @@ def _near_square_dims(count: int):
 
 
 def _lobe_dims(t: float, epsilon: float, min_count: int = 2):
-    """Even plaquette count near t/eps^2 and a rectangle with height >= 2.
+    """(height, width) of a rectangle of an even plaquette count near
+    t/eps^2, with height >= 2.
 
     The count is clamped to at least min_count plaquettes, so an area below
     about min_count * eps^2 silently gets the larger lobe (2 plaquettes at
@@ -556,7 +515,7 @@ def _lobe_dims(t: float, epsilon: float, min_count: int = 2):
     if h < 2:
         h, w = 2, count // 2
     assert h * w == count and h >= 2
-    return count, h, w
+    return h, w
 
 
 def make_rectangle(t: float, epsilon: float):
@@ -579,8 +538,8 @@ def make_figure_eight(t2: float, t4: float, epsilon: float) -> CrossingGeometry:
     West lobe winding +1 (area ~ t2), east lobe winding -1 (area ~ t4); the
     north and south wedges at the crossing edge belong to the unbounded face.
     """
-    c2, h2, w2 = _lobe_dims(t2, epsilon)
-    c4, h4, w4 = _lobe_dims(t4, epsilon)
+    h2, w2 = _lobe_dims(t2, epsilon)
+    h4, w4 = _lobe_dims(t4, epsilon)
 
     e_eps, _ = walk_moves((0, -1), "UU")
     east, endp = walk_moves((0, 1), "U" * (h4 - 2) + "R" * w4 + "D" * h4 + "L" * w4)
@@ -594,8 +553,6 @@ def make_figure_eight(t2: float, t4: float, epsilon: float) -> CrossingGeometry:
         subject=loop,
         annotation=ann,
         wedge_cells={1: None, 2: (-1, 0), 3: None, 4: (0, 0)},
-        limit_faces=[(t2, 1), (t4, -1)],
-        extra={"t2_eps": c2 * epsilon**2, "t4_eps": c4 * epsilon**2},
     )
 
 
@@ -608,8 +565,8 @@ def make_figure_eight_reversed(t2: float, t4: float, epsilon: float) -> Crossing
     negative splitting (sign flip relative to the standard figure-eight)
     while the combination converges to the same continuum identity.
     """
-    c2, h2, w2 = _lobe_dims(t2, epsilon)
-    c4, h4, w4 = _lobe_dims(t4, epsilon)
+    h2, w2 = _lobe_dims(t2, epsilon)
+    h4, w4 = _lobe_dims(t4, epsilon)
 
     north, endp = walk_moves((0, 1), "U" * h4 + "R" * w4 + "D" * h4 + "L" * w4)
     assert endp == (0, 1)
@@ -623,8 +580,6 @@ def make_figure_eight_reversed(t2: float, t4: float, epsilon: float) -> Crossing
         subject=loop,
         annotation=ann,
         wedge_cells={1: (0, 1), 2: None, 3: (-1, -2), 4: None},
-        limit_faces=[(c4 * epsilon**2, -1), (c2 * epsilon**2, 1)],
-        extra={"t2_eps": c2 * epsilon**2, "t4_eps": c4 * epsilon**2},
     )
 
 
@@ -641,7 +596,7 @@ def make_coil(t4: float, epsilon: float) -> CrossingGeometry:
     annulus face while the west wedge is unbounded.  Realizes the
     degenerate unbounded-face crossing with F1 = F3 bounded.
     """
-    c4, h4, w4 = _lobe_dims(t4, epsilon)
+    h4, w4 = _lobe_dims(t4, epsilon)
     g = max(1, int(round(WRAP_MARGIN / epsilon)))
     east_x = w4 + g  # wrap east column
     top_y = h4 - 1 + g
@@ -662,15 +617,12 @@ def make_coil(t4: float, epsilon: float) -> CrossingGeometry:
     )
     assert endp == (0, -1), endp
     loop, ann = _crossing_loop(e_eps, east, e_eps, wrap)
-    annulus = (east_x + 1) * (top_y - bot_y) - c4 - 2
     return CrossingGeometry(
         kind="coil",
         epsilon=epsilon,
         subject=loop,
         annotation=ann,
         wedge_cells={1: (0, h4 - 1), 2: None, 3: (0, -2), 4: (0, 0)},
-        limit_faces=[(annulus * epsilon**2, -1), (c4 * epsilon**2, -2)],
-        extra={"t4_eps": c4 * epsilon**2, "ts_eps": annulus * epsilon**2},
     )
 
 
@@ -681,8 +633,8 @@ def make_limacon(t4: float, t2: float, epsilon: float) -> CrossingGeometry:
     The surrounding frame is attached by a second transversal crossing on
     the lens boundary, as in the degenerate three-face configuration.
     """
-    c4, h4, w4 = _lobe_dims(t4, epsilon)
-    c2, h2, w2 = _lobe_dims(t2, epsilon, min_count=4)
+    h4, w4 = _lobe_dims(t4, epsilon)
+    h2, w2 = _lobe_dims(t2, epsilon, min_count=4)
     if w2 < 2:
         h2, w2 = w2, h2
     if w2 < 2 or h2 < 2:
@@ -714,18 +666,12 @@ def make_limacon(t4: float, t2: float, epsilon: float) -> CrossingGeometry:
     west, endp = walk_moves((0, 1), moves)
     assert endp == (0, -1), endp
     loop, ann = _crossing_loop(e_eps, east, e_eps, west)
-    frame_area = (gx + east_x) * (top_y - bot_y) - (top_y - 2) * 1
-    s_area = frame_area - c4 - c2 - 2
     return CrossingGeometry(
         kind="limacon",
         epsilon=epsilon,
         subject=loop,
         annotation=ann,
         wedge_cells={1: (0, max(h4 - 1, h2)), 2: (-1, 0), 3: (0, -2), 4: (0, 0)},
-        limit_faces=[(s_area * epsilon**2, 1), (c2 * epsilon**2, 2),
-                     (c4 * epsilon**2, 0)],
-        extra={"t2_eps": c2 * epsilon**2, "t4_eps": c4 * epsilon**2,
-               "ts_eps": s_area * epsilon**2},
     )
 
 
@@ -760,14 +706,10 @@ def make_crossing_squares(side: float, overlap: float, epsilon: float) -> Crossi
          (walk_moves((k, 1), "UU")[0], "e2"),
          (rest2, None)])
     string = LoopString(tuple(loops))
-    area = float(s * s) * epsilon**2
-    olap = float(k * k) * epsilon**2
     return CrossingGeometry(
         kind="crossing-squares",
         epsilon=epsilon,
         subject=string,
         annotation=ann,
         wedge_cells={1: (k, 1), 2: (k - 1, 0), 3: (k - 1, -2), 4: None},
-        limit_faces=[(area - olap, 1), (olap, 2), (area - olap, 1)],
-        extra={"side_eps": s * epsilon, "overlap_eps": k * epsilon},
     )

@@ -458,7 +458,7 @@ def crossing_im_sweep(eps_list, family: str = "coil", t4: float = 0.5,
         t0 = time.perf_counter()
         geometry = _crossing_family(family, eps, t2, t4)
         measure = U1Backend(eps)
-        ew = measure.continuum(geometry.lattice_faces())
+        ew = measure.continuum(geometry.subject)
         ims = measure.correction_terms(geometry)
         d_m = measure.wedge_derivatives(geometry)
         limit_e = 2.0 * alternating_area_derivative(d_m) + ims[1] + ims[3]
@@ -508,30 +508,24 @@ def degenerate_checks(epsilon: float = 0.25):
     out = {}
     for kind in ("limacon", "coil"):
         geometry = _crossing_family(kind, epsilon, 0.5, 0.5)
-        faces = geometry.lattice_faces()
-        wedges = geometry.wedge_face_indices()
-        ew = measure.continuum(faces)
+        ew = measure.continuum(geometry.subject)
         split_cont = measure.continuum_splitting(geometry)
-        assert wedges[1] is not None and wedges[1] == wedges[3], \
-            "north/south wedges must share the s-face"
         d = measure.wedge_derivatives(geometry)
         lhs = 2.0 * d[1] - d[2] - d[4]
         alt = alternating_area_derivative(d)
-        # p_s = p_{t1} * p_{t3}: splitting the s-face leaves the product fixed
-        t_s, n_s = faces[wedges[1]]
-        split_faces = list(faces)
-        split_faces[wedges[1]] = (0.3 * t_s, n_s)
-        split_faces.append((0.7 * t_s, n_s))
-        surgery_gap = abs(measure.continuum(split_faces) - ew)
+        # p_s = p_{t1} * p_{t3}: splitting the s-face, the class of the
+        # winding around c_1, leaves the product fixed
+        ew_cut = measure.continuum(geometry.subject,
+                                   split=(geometry.wedge_cells[1], 0.3))
         entry = {
             "identity_gap": abs(lhs - split_cont),
             "reduces_to_alternating": abs(lhs - alt),
-            "surgery_gap": surgery_gap,
+            "surgery_gap": abs(ew_cut - ew),
             "E_W": ew,
             "geometry": geometry.realized(),
         }
         if kind == "coil":
-            unbounded = [m for m in (2, 4) if wedges[m] is None]
+            unbounded = [m for m in (2, 4) if geometry.wedge_cells[m] is None]
             entry["unbounded_derivative"] = max((d[m] for m in unbounded), key=abs,
                                                 default=float("nan"))
             entry["unbounded_wedges"] = unbounded

@@ -8,6 +8,8 @@ a check or reader used only to test the package's output.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -86,6 +88,56 @@ def deformation_value_by_surgery(subject, site, backend) -> float:
     for s2, _ in d_plus:
         tot -= backend.expectation(s2)
     return tot / (2.0 * backend.epsilon**2)
+
+
+# ---------------------------------------------------------------------------
+# the U(1) continuum side, face by face: loopfield reads it off the winding
+# field; these are the former face-list bodies, over build_graph's faces
+
+
+def lattice_faces(geometry):
+    """(t, n) of each bounded face of a crossing geometry: its area
+    plaquettes * eps^2 and its winding."""
+    return [(f.plaquettes * geometry.epsilon**2, f.winding)
+            for f in geometry.graph.faces]
+
+
+def wedge_face_indices(geometry) -> dict:
+    """{m: the index in lattice_faces of the face holding the wedge cell
+    c_m}, None where c_m is None or lies in the unbounded face."""
+    cell_to_face = geometry.graph.cell_to_face
+    return {m: None if cell is None else cell_to_face.get(cell)
+            for m, cell in geometry.wedge_cells.items()}
+
+
+def u1_continuum_by_faces(obj, epsilon: float) -> float:
+    """Continuum E W of a loop or string over its bounded faces, areas read
+    off as plaquettes * eps^2."""
+    return continuum_product([(f.plaquettes * epsilon**2, f.winding)
+                              for f in build_graph(obj).faces])
+
+
+def area_derivative_by_faces(faces, index: int) -> float:
+    """d/dt_index of the continuum product over (t, n) faces: -n^2/2 * E W."""
+    faces = list(faces)
+    _, n = faces[index]
+    return -0.5 * n * n * continuum_product(faces)
+
+
+def correction_term_im_by_faces(faces, m: int, wedge_face: int | None) -> float:
+    """I_m by Fourier reduction of the face integrals over (t, n) faces, the
+    wedge face F_m at index wedge_face (None: an unbounded wedge, I_m = 0)."""
+    if wedge_face is None:
+        return 0.0
+    val = CROSSING_SIGNS[m]
+    for idx, (t, n) in enumerate(faces):
+        if idx == wedge_face:
+            # int e^{i n theta} * (d/dtheta p_t)(theta) dtheta/2pi = -i n e^{-n^2 t/2};
+            # with the i from the loop derivative this contributes n e^{-n^2 t/2}
+            val *= n * math.exp(-0.5 * n * n * t)
+        else:
+            val *= math.exp(-0.5 * n * n * t)
+    return val
 
 
 def correction_term_im_bruteforce(faces, m: int, wedge_face: int | None,

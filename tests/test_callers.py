@@ -6,7 +6,8 @@ benchmark under perfbench/.  A reference is a name, an attribute, an
 imported name or a string naming the target, as the benchmark tracer names
 "module function" and "Class.method" targets.  References inside the
 definition itself do not count.  A name that only the tests reach belongs
-in the tests, with the oracles of tests/oracles.py.
+in the tests, with the oracles of tests/oracles.py.  Likewise every name
+that an import binds in a module of src/loopfield is read there.
 """
 
 import ast
@@ -69,3 +70,33 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             if not reached:
                 orphans.append(f"{path.stem}.{qualified}")
     assert not orphans, orphans
+
+
+def _unused_imports(path):
+    """(line, name) of each name that an import statement of the module
+    binds and that no name in the module (or its __all__) reads.  A dotted
+    `import a.b` without `as` only preloads a submodule, so it binds
+    nothing to check."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname or "." not in alias.name:
+                    bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read |= {elt.value for elt in node.value.elts}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_every_imported_name_is_used():
+    unused = [f"{path.name}:{line} {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for line, name in _unused_imports(path)]
+    assert not unused, unused

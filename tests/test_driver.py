@@ -11,16 +11,16 @@ from loopfield.loops import (DIRS, Loop, make_loop, make_loop_from_moves,
                              plaquette_loop, LoopString, as_string, bond_inverse,
                              occurrences, random_loop)
 from loopfield.action import ActionParams, char_coefficient
-from loopfield.driver import (build_graph, winding_number, U1Backend, _pop_order,
+from loopfield.driver import (build_graph, winding_number, U1Backend,
                               _bond_arrays, _label_cells, _wall_grid,
-                              u1_expectation_continuum, area_derivative,
-                              correction_term_im,
+                              continuum_product, area_derivative,
                               make_rectangle, make_figure_eight, make_coil,
                               make_limacon, make_crossing_squares,
                               DriverError)
 from oracles import (area_derivative_fd, correction_term_im_bruteforce,
-                     edge_graph, euler_characteristic, u1_bruteforce_expectation,
-                     u1_face_product)
+                     edge_graph, euler_characteristic, lattice_faces,
+                     u1_bruteforce_expectation, u1_face_product,
+                     wedge_face_indices)
 
 
 def test_plaquette_graph():
@@ -45,12 +45,12 @@ def test_figure_eight_windings_and_wedges():
     geo = make_figure_eight(0.5, 0.5, 0.25)
     g = geo.graph
     assert sorted(f.winding for f in g.faces) == [-1, 1]
-    wedges = geo.wedge_face_indices()
+    wedges = wedge_face_indices(geo)
     assert wedges[1] is None and wedges[3] is None  # unbounded north/south
     assert g.faces[wedges[2]].winding == 1          # west lobe
     assert g.faces[wedges[4]].winding == -1         # east lobe
-    assert geo.extra["t2_eps"] == pytest.approx(0.5)
-    assert geo.extra["t4_eps"] == pytest.approx(0.5)
+    # both lobes are realized at the requested area 0.5
+    assert geo.realized()["areas"] == pytest.approx([0.5, 0.5])
 
 
 def _reversed(loop):
@@ -100,16 +100,20 @@ def test_winding_field_properties(seed, hx, hy, offset):
 
 def _flood_fill_faces(subject):
     """The former build_graph, kept as an oracle: a flood fill over the cells
-    of the winding box, with its seeds popped from the set of their (i, j)
-    tuples.  Returns (cells, winding) of the bounded faces, in order."""
+    of the winding box, seeded at the unassigned cells in raster order.
+    Returns (cells, winding) of the bounded faces, in order, each with the
+    winding of its seed; a nonzero winding anywhere on the unbounded face
+    is a DriverError."""
     from loopfield.driver import _edge_key
     occ = {_edge_key(b) for l in as_string(subject) for b in l.word}
     (x0, y0), wind = winding_number(subject)
     x1, y1 = x0 + wind.shape[0], y0 + wind.shape[1]
     unassigned = {(i, j) for i in range(x0, x1) for j in range(y0, y1)}
     faces = []
-    while unassigned:
-        seed = unassigned.pop()
+    for seed in [(i, j) for i in range(x0, x1) for j in range(y0, y1)]:
+        if seed not in unassigned:
+            continue
+        unassigned.discard(seed)
         comp, stack, border = {seed}, [seed], False
         while stack:
             i, j = stack.pop()
@@ -121,12 +125,11 @@ def _flood_fill_faces(subject):
                     unassigned.discard(cell)
                     comp.add(cell)
                     stack.append(cell)
-        n = int(wind[seed[0] - x0, seed[1] - y0])
         if border:
-            if n != 0:
+            if any(wind[i - x0, j - y0] for i, j in comp):
                 raise DriverError("unbounded face with nonzero winding")
             continue
-        faces.append((frozenset(comp), n))
+        faces.append((frozenset(comp), int(wind[seed[0] - x0, seed[1] - y0])))
     return faces
 
 
@@ -187,21 +190,13 @@ def test_build_graph_matches_flood_fill_on_many_faces(layout):
 
 
 def test_build_graph_unbounded_winding_error():
-    # an open path, up then right: the unbounded face's first cell winds once
+    # an open path, up then right: the cell under its right bond, on the box's
+    # top border, winds once
     path = Loop(((0, 0, 1), (0, 1, 0)))
     with pytest.raises(DriverError, match="unbounded face"):
         _flood_fill_faces(path)
     with pytest.raises(DriverError, match="unbounded face"):
         build_graph(path)
-
-
-@pytest.mark.parametrize("box", [(-1, -1, 4, 4), (-7, 3, 9, 5), (2, -5, 6, 11),
-                                 (5, 8, 3, 2), (-30, -12, 40, 25)])
-def test_pop_order_is_set_iteration_order(box):
-    x0, y0, nx, ny = box
-    cells = {(i, j) for i in range(x0, x0 + nx) for j in range(y0, y0 + ny)}
-    assert _pop_order(*box).tolist() == [(i - x0) * ny + (j - y0)
-                                         for i, j in cells]
 
 
 def _ndimage_cell_labels(grid):
@@ -295,7 +290,7 @@ def test_product_formula_vs_bruteforce():
 def test_trivial_loop_expectations():
     from loopfield.loops import TRIVIAL_LOOP
     assert U1Backend(0.5).expectation(TRIVIAL_LOOP) == 1.0
-    assert u1_expectation_continuum(TRIVIAL_LOOP, 0.5) == 1.0
+    assert U1Backend(0.5).continuum(TRIVIAL_LOOP) == 1.0
 
 
 def test_edge_subdivision_invariance():
@@ -318,7 +313,7 @@ def test_simple_loop_expectation_values():
     a1 = char_coefficient(1, ActionParams(GroupSpec("U", 1), eps))
     assert U1Backend(eps).expectation(loop) == pytest.approx(
         a1 ** round(t / eps**2), abs=1e-12)
-    assert u1_expectation_continuum(loop, eps) == pytest.approx(math.exp(-0.5 * t))
+    assert U1Backend(eps).continuum(loop) == pytest.approx(math.exp(-0.5 * t))
 
 
 def test_discrete_to_continuum_convergence():
@@ -333,20 +328,19 @@ def test_discrete_to_continuum_convergence():
 
 def test_area_derivative_analytic_vs_fd():
     faces = [(0.7, 1), (0.4, -2), (1.1, 1)]
-    for i in range(3):
-        a = area_derivative(faces, i)
+    for i, (_, n) in enumerate(faces):
+        a = area_derivative(n, continuum_product(faces))
         f = area_derivative_fd(faces, i)
         assert abs(a - f) < 1e-6
     # simple loop: d/dt e^{-t/2} = -e^{-t/2}/2
-    assert area_derivative([(1.0, 1)], 0) == pytest.approx(-0.5 * math.exp(-0.5))
+    assert area_derivative(1, math.exp(-0.5)) == pytest.approx(-0.5 * math.exp(-0.5))
 
 
 def test_figure_eight_continuum_value():
     # oppositely wound lobes of areas (ta, tb): E W = exp(-(ta + tb)/2)
     geo = make_figure_eight(0.4, 0.6, 0.1)
-    val = u1_expectation_continuum(geo.subject, 0.1)
-    assert val == pytest.approx(math.exp(-0.5 * (geo.extra["t2_eps"]
-                                                 + geo.extra["t4_eps"])))
+    val = U1Backend(0.1).continuum(geo.subject)
+    assert val == pytest.approx(math.exp(-0.5 * sum(geo.realized()["areas"])))
 
 
 @pytest.mark.parametrize("family,kwargs", [
@@ -358,12 +352,12 @@ def test_correction_terms_fourier_vs_bruteforce(family, kwargs):
     factory = {"figure-eight": make_figure_eight, "coil": make_coil,
                "limacon": make_limacon}[family]
     geo = factory(epsilon=0.25, **kwargs)
-    faces = geo.lattice_faces()
-    wedges = geo.wedge_face_indices()
+    faces = lattice_faces(geo)
+    wedges = wedge_face_indices(geo)
+    terms = U1Backend(0.25).correction_terms(geo)
     for m in (1, 2, 3, 4):
-        a = correction_term_im(faces, m, wedges[m])
         b = correction_term_im_bruteforce(faces, m, wedges[m], grid=40)
-        assert abs(a - b) < 1e-9
+        assert abs(terms[m] - b) < 1e-9
 
 
 def test_lattice_approximation_contract():
@@ -373,14 +367,16 @@ def test_lattice_approximation_contract():
         assert len(geo.annotation.e_first) == 2
         assert len(geo.annotation.e_second) == 2
         g = geo.graph
-        for (t_limit, n) in geo.limit_faces:
-            match = [f for f in g.faces if f.winding == n]
+        realized = geo.realized()
+        # the west lobe winds +1 at t2 = 0.5, the east lobe -1 at t4 = 0.5
+        for t_limit, n in ((0.5, 1), (0.5, -1)):
+            match = [t for (_, w), t in zip(realized["faces"], realized["areas"])
+                     if w == n]
             assert match
-            t_eps = match[0].plaquettes * eps**2
-            assert abs(t_eps - t_limit) <= 2 * eps
+            assert abs(match[0] - t_limit) <= 2 * eps
         # i_eps(boundary) consistency: the designated edge bonds lie on the
         # boundary of the faces they were assigned to
-        wedges = geo.wedge_face_indices()
+        wedges = wedge_face_indices(geo)
         comp, loc = geo.annotation.e1[0]
         bond = geo.subject.word[loc]
         from loopfield.driver import _edge_key
@@ -393,7 +389,7 @@ def test_crossing_squares_structure():
     g = geo.graph
     windings = sorted(f.winding for f in g.faces)
     assert windings == [1, 1, 2]
-    wedges = geo.wedge_face_indices()
+    wedges = wedge_face_indices(geo)
     assert wedges[4] is None  # the southeast wedge is unbounded
     assert g.faces[wedges[2]].winding == 2
     s = geo.subject

@@ -9,9 +9,10 @@ from loopfield.action import ActionParams, char_coefficient, standard_label
 from loopfield.loops import (DIR_CHARS, LoopString, bond_inverse,
                              compatible_triples, make_loop, occurrences,
                              random_loop, walk_moves)
-from loopfield.driver import (U1Backend, make_figure_eight,
+from loopfield.driver import (U1Backend, CrossingGeometry, make_figure_eight,
                               make_figure_eight_reversed, make_rectangle,
-                              make_coil, make_limacon, make_crossing_squares)
+                              make_coil, make_limacon, make_crossing_squares,
+                              winding_number)
 from loopfield.equations import (EquationSpec, assemble, evaluate_exact_u1,
                                  evaluate_mc, deformation_value,
                                  combination_value, crossing_deformation_data,
@@ -23,7 +24,9 @@ from loopfield.equations import (EquationSpec, assemble, evaluate_exact_u1,
                                  finite_difference_alternating)
 from loopfield import equations
 from loopfield.sampler import LatticeBox, MCSchedule, make_estimate, sample_iid
-from oracles import area_derivative_fd, deformation_value_by_surgery
+from oracles import (area_derivative_by_faces, area_derivative_fd,
+                     correction_term_im_by_faces, deformation_value_by_surgery,
+                     lattice_faces, u1_continuum_by_faces, wedge_face_indices)
 
 U1 = GroupSpec("U", 1)
 
@@ -133,19 +136,26 @@ def _loop_through(rng, bond, hx, hy):
     return make_loop([(bx + bond[0] - x, by + bond[1] - y, bd) for bx, by, bd in word])
 
 
+def _string_sharing_bonds(rng, n_loops, negative):
+    """A random string of n_loops loops and the site (comp, loc) of its
+    loop that passes its bond e again; every other loop runs along e or
+    e^-1."""
+    loop, e, loc = _loop_with_second_pass(rng, 3, 3, negative)
+    others = [_loop_through(rng, bond_inverse(e) if rng.random() < 0.5 else e, 3, 3)
+              for _ in range(n_loops - 1)]
+    comp = int(rng.integers(n_loops))
+    return LoopString(others[:comp] + [loop] + others[comp:]), (comp, loc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.booleans(),
        st.sampled_from([0.5, 0.25]))
 def test_exact_residuals_on_strings_that_share_bonds(seed, n_loops, negative, eps):
     # one loop passes its site bond e again (a splitting); every other loop
     # runs along e or e^-1 (a merger); the exact U(1) equation still holds
-    rng = np.random.default_rng(seed)
-    loop, e, loc = _loop_with_second_pass(rng, 3, 3, negative)
-    others = [_loop_through(rng, bond_inverse(e) if rng.random() < 0.5 else e, 3, 3)
-              for _ in range(n_loops - 1)]
-    comp = int(rng.integers(n_loops))
-    string = LoopString(others[:comp] + [loop] + others[comp:])
-    terms, meta = assemble(EquationSpec(U1, eps, string, (comp, loc)))
+    string, site = _string_sharing_bonds(np.random.default_rng(seed), n_loops,
+                                         negative)
+    terms, meta = assemble(EquationSpec(U1, eps, string, site))
     tags = {t.tag for t in terms}
     assert ("split-neg" if negative else "split-pos") in tags
     assert tags & {"merge-pos", "merge-neg"}
@@ -223,13 +233,9 @@ def test_deformation_value_is_the_loop_surgery_value_on_strings(seed, n_loops,
                                                                 negative, eps):
     # every bond of a random string whose loops share bonds: the one-cell
     # change of the winding counts gives the loop-surgery value to the bit
-    rng = np.random.default_rng(seed)
-    loop, e, _ = _loop_with_second_pass(rng, 3, 3, negative)
-    others = [_loop_through(rng, bond_inverse(e) if rng.random() < 0.5 else e, 3, 3)
-              for _ in range(n_loops - 1)]
-    comp = int(rng.integers(n_loops))
-    string = LoopString(others[:comp] + [loop] + others[comp:])
-    subject = string if n_loops > 1 else loop
+    string, _ = _string_sharing_bonds(np.random.default_rng(seed), n_loops,
+                                      negative)
+    subject = string if n_loops > 1 else string.loops[0]
     backend = U1Backend(eps)
     for c, l in enumerate(string.loops):
         for loc in range(len(l.word)):
@@ -264,6 +270,69 @@ def test_deformation_value_is_the_loop_surgery_value_on_geometries(kind, eps):
     for site in sorted(sites):
         assert deformation_value(subject, site, backend) == \
             deformation_value_by_surgery(subject, site, backend), site
+
+
+def _assert_continuum_is_the_face_product(subject, eps, wedge_cells):
+    """The measure's continuum E W, d_m and I_m, read off the winding field,
+    equal the face-by-face values to 4 ulp of the largest of them."""
+    geo = CrossingGeometry("wedges", eps, subject, None, wedge_cells)
+    faces, wedges = lattice_faces(geo), wedge_face_indices(geo)
+    want = [u1_continuum_by_faces(subject, eps)]
+    want += [0.0 if wedges[m] is None else area_derivative_by_faces(faces, wedges[m])
+             for m in (1, 2, 3, 4)]
+    want += [correction_term_im_by_faces(faces, m, wedges[m]) for m in (1, 2, 3, 4)]
+    measure = U1Backend(eps)
+    d, i_m = measure.wedge_derivatives(geo), measure.correction_terms(geo)
+    got = [measure.continuum(subject)] + [d[m] for m in (1, 2, 3, 4)]
+    got += [i_m[m] for m in (1, 2, 3, 4)]
+    bound = 4 * np.finfo(float).eps * max(abs(v) for v in want)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= bound, (got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(),
+       st.sampled_from([0.5, 0.25, 0.125]))
+def test_continuum_side_is_the_face_product_on_strings(seed, n_loops, negative,
+                                                       eps):
+    # wedge cells drawn from the whole box, its unbounded margin included,
+    # or None
+    rng = np.random.default_rng(seed)
+    string, _ = _string_sharing_bonds(rng, n_loops, negative)
+    (x0, y0), wind = winding_number(string)
+    cells = [None] + [(x0 + i, y0 + j) for i in range(wind.shape[0])
+                      for j in range(wind.shape[1])]
+    picks = rng.integers(len(cells), size=4)
+    _assert_continuum_is_the_face_product(
+        string, eps, {m: cells[k] for m, k in zip((1, 2, 3, 4), picks)})
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.125, 0.0625, 0.03125])
+@pytest.mark.parametrize("kind", sorted(_GEOMETRIES) + ["rectangle"])
+def test_continuum_side_is_the_face_product_on_geometries(kind, eps):
+    # each crossing factory at its own wedge cells; the rectangle at a cell
+    # inside it, one outside and None
+    if kind == "rectangle":
+        loop, _ = make_rectangle(0.5, eps)
+        wedge_cells = {1: (0, 0), 2: (-1, 0), 3: None, 4: (0, 0)}
+        _assert_continuum_is_the_face_product(loop, eps, wedge_cells)
+    else:
+        geo = _GEOMETRIES[kind](eps)
+        _assert_continuum_is_the_face_product(geo.subject, eps, geo.wedge_cells)
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.125, 0.0625])
+@pytest.mark.parametrize("kind", ["limacon", "coil"])
+def test_the_class_of_the_north_wedge_is_the_s_face(kind, eps):
+    # degenerate_checks splits the class of |w(c_1)|: every cell of that
+    # winding is in the s-face, the bounded face holding c_1 and c_3
+    geo = _GEOMETRIES[kind](eps)
+    (x0, y0), wind = winding_number(geo.subject)
+    c1, c3 = geo.wedge_cells[1], geo.wedge_cells[3]
+    i, j = np.nonzero(np.abs(wind) == abs(wind[c1[0] - x0, c1[1] - y0]))
+    the_class = set(zip((i + x0).tolist(), (j + y0).tolist()))
+    g = geo.graph
+    assert g.cell_to_face[c3] == g.cell_to_face[c1]
+    assert the_class == g.faces[g.cell_to_face[c1]].cells
 
 
 def test_combination_coefficient_validation():
@@ -336,8 +405,8 @@ def test_merger_is_the_first_compatible_triple():
 ], ids=lambda geo: geo.kind)
 def test_wedge_derivatives_match_finite_differences(geo):
     # absolute bound: the limacon's wedge 4 has winding 0, so d_4 = 0
-    faces = geo.lattice_faces()
-    wedges = geo.wedge_face_indices()
+    faces = lattice_faces(geo)
+    wedges = wedge_face_indices(geo)
     derivs = U1Backend(geo.epsilon).wedge_derivatives(geo)
     assert set(derivs) == {1, 2, 3, 4}
     for m, k in wedges.items():
@@ -387,7 +456,7 @@ class _RecordingMeasure:
         return (cls.DEFORMED[0] + cls.DEFORMED[1] - cls.DEFORMED[2]
                 - cls.DEFORMED[3]) / (2.0 * eps**2)
 
-    def continuum(self, faces):
+    def continuum(self, obj, split=None):
         self.calls.append("continuum")
         return self.CONTINUUM
 
@@ -454,6 +523,31 @@ def test_exact_sweeps_take_every_u1_value_from_the_measure(monkeypatch):
     assert set(calls) - {"__init__"} <= interface
     for name in ("continuum_product", "correction_term_im", "area_derivative"):
         assert not hasattr(equations, name), name
+
+
+def test_exact_sweeps_read_no_face(monkeypatch):
+    # the sweeps' rows, apart from the realized geometry and the timings,
+    # come out the same when no planar graph can be built
+    from loopfield import driver
+
+    def rows():
+        eps_list = (0.25, 0.125)
+        out = convergence_crossing(eps_list, max_triples=2)["rows"]
+        out += convergence_merger(eps_list)["rows"]
+        for family in ("coil", "limacon", "figure-eight"):
+            out += crossing_im_sweep(eps_list, family=family)["rows"]
+        out += list(degenerate_checks(0.25).values())
+        return [{k: v for k, v in row.items() if k not in ("geometry", "seconds")}
+                for row in out]
+
+    expected = rows()
+
+    def no_faces(obj):
+        raise AssertionError("a value path built a planar graph")
+
+    monkeypatch.setattr(driver, "build_graph", no_faces)
+    monkeypatch.setattr(CrossingGeometry, "realized", lambda self: {})
+    assert rows() == expected
 
 
 def test_exact_sweeps_build_no_deformed_string(monkeypatch):
